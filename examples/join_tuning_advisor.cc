@@ -4,15 +4,34 @@
 // and shows that the winner flips exactly where the build side outgrows
 // the last-level cache -- the paper's core claim made executable.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
 
 #include "hwstar/common/timer.h"
 #include "hwstar/hw/topology.h"
 #include "hwstar/ops/join_nop.h"
 #include "hwstar/ops/join_radix.h"
-#include "hwstar/perf/harness.h"
 #include "hwstar/perf/report.h"
 #include "hwstar/workload/distributions.h"
+
+namespace {
+
+/// Median wall time of `fn` in ms over 3 runs, after one unmeasured warm-up.
+double MedianMillis(const std::function<void()>& fn) {
+  fn();
+  double ms[3];
+  for (double& t : ms) {
+    hwstar::WallTimer timer;
+    fn();
+    t = timer.ElapsedSeconds() * 1e3;
+  }
+  std::sort(ms, ms + 3);
+  return ms[1];
+}
+
+}  // namespace
 
 int main() {
   using namespace hwstar;
@@ -34,24 +53,17 @@ int main() {
     auto build = workload::MakeBuildRelation(n, log2n);
     auto probe = workload::MakeProbeRelation(4 * n, n, 0.0, log2n + 50);
 
-    auto npo = perf::MeasureRepeated(
-        [&] {
-          auto r = ops::NoPartitionHashJoin(build, probe);
-          if (r.matches != probe.size()) std::abort();
-        },
-        3, 1);
+    const double npo_ms = MedianMillis([&] {
+      auto r = ops::NoPartitionHashJoin(build, probe);
+      if (r.matches != probe.size()) std::abort();
+    });
 
     ops::RadixJoinOptions opts;
     opts.radix_bits = ops::RecommendRadixBits(n, llc);
-    auto radix = perf::MeasureRepeated(
-        [&] {
-          auto r = ops::RadixHashJoin(build, probe, opts);
-          if (r.matches != probe.size()) std::abort();
-        },
-        3, 1);
-
-    const double npo_ms = npo.median_seconds * 1e3;
-    const double radix_ms = radix.median_seconds * 1e3;
+    const double radix_ms = MedianMillis([&] {
+      auto r = ops::RadixHashJoin(build, probe, opts);
+      if (r.matches != probe.size()) std::abort();
+    });
     table.AddRow({std::to_string(n),
                   perf::ReportTable::Num(static_cast<double>(16 * n) / (1 << 20)),
                   perf::ReportTable::Num(npo_ms),

@@ -1,10 +1,6 @@
 #include "hwstar/exec/morsel.h"
 
-#include "hwstar/tune/tunable.h"
-
 namespace hwstar::exec {
-
-uint64_t DefaultMorselRows() { return tune::MorselRows().Get(); }
 
 void ParallelForMorsels(Executor* executor, uint64_t total,
                         uint64_t morsel_size,

@@ -6,25 +6,9 @@
 #include <functional>
 
 #include "hwstar/exec/executor.h"
+#include "hwstar/tune/tunable.h"
 
 namespace hwstar::exec {
-
-/// Spec default for rows per morsel, shared by every morsel-driven entry
-/// point (MorselDispenser, engine::ExecuteParallel, ops::ParallelSum).
-/// Chosen as the largest power of two under the ~100K tuples Leis et al.
-/// recommend: at 2^16 rows a morsel of 8-byte values is 512 KiB, so the
-/// dispenser's shared fetch_add and the per-morsel dispatch amortize to
-/// well under 0.1% of the morsel's work, while a 16M-row input still
-/// splits into 256 morsels -- plenty of elasticity for rebalancing under
-/// skew or interference. The *live* default is the tune::MorselRows knob
-/// (DefaultMorselRows below); this constant is its spec default.
-inline constexpr uint64_t kDefaultMorselRows = uint64_t{1} << 16;
-
-/// The process-wide rows-per-morsel default: the tune::MorselRows knob,
-/// published by hw::MachineModel::ApplyAll and nudgeable at runtime.
-/// Callers that pass morsel_size = 0 to MorselDispenser /
-/// ParallelForMorsels get this value, read at dispenser construction.
-uint64_t DefaultMorselRows();
 
 /// A half-open range of row indices handed to one worker at a time.
 struct Morsel {
@@ -39,10 +23,11 @@ struct Morsel {
 /// co-running work -- the elasticity argument of morsel-driven parallelism.
 class MorselDispenser {
  public:
-  /// morsel_size 0 reads the tune::MorselRows knob (DefaultMorselRows).
+  /// morsel_size 0 reads the tune::MorselRows knob at construction.
   MorselDispenser(uint64_t total, uint64_t morsel_size = 0)
       : total_(total),
-        morsel_size_(morsel_size == 0 ? DefaultMorselRows() : morsel_size) {}
+        morsel_size_(morsel_size == 0 ? tune::MorselRows().Get()
+                                      : morsel_size) {}
 
   /// Grabs the next morsel; returns false when the input is exhausted.
   bool Next(Morsel* out) {

@@ -2,98 +2,7 @@
 
 #include <sstream>
 
-#include "hwstar/tune/tunable.h"
-
 namespace hwstar::hw {
-
-// The old file-local `g_probe_group_size`-style atomics are gone: every
-// default lives in the tune registry now, so clamping happens centrally
-// in each Tunable's spec and the values show up in DumpText snapshots.
-
-uint32_t DefaultProbeGroupSize() {
-  return static_cast<uint32_t>(tune::ProbeGroupSize().Get());
-}
-
-void SetDefaultProbeGroupSize(uint32_t group_size) {
-  tune::ProbeGroupSize().Set(group_size);
-}
-
-uint32_t DefaultAmacRingWidth() {
-  return static_cast<uint32_t>(tune::AmacRingWidth().Get());
-}
-
-void SetDefaultAmacRingWidth(uint32_t ring_width) {
-  tune::AmacRingWidth().Set(ring_width);
-}
-
-uint64_t DefaultAmacMinTableBytes() {
-  return tune::AmacMinTableBytes().Get();
-}
-
-void SetDefaultAmacMinTableBytes(uint64_t bytes) {
-  tune::AmacMinTableBytes().Set(bytes);
-}
-
-uint32_t DefaultStreamBatchRows() {
-  return static_cast<uint32_t>(tune::StreamBatchRows().Get());
-}
-
-void SetDefaultStreamBatchRows(uint32_t rows) {
-  tune::StreamBatchRows().Set(rows);
-}
-
-uint32_t DefaultStreamMaxInflight() {
-  return static_cast<uint32_t>(tune::StreamMaxInflight().Get());
-}
-
-void SetDefaultStreamMaxInflight(uint32_t batches) {
-  tune::StreamMaxInflight().Set(batches);
-}
-
-uint64_t DefaultStreamLatenessBound() {
-  return tune::StreamLatenessBound().Get();
-}
-
-void SetDefaultStreamLatenessBound(uint64_t bound) {
-  tune::StreamLatenessBound().Set(bound);
-}
-
-uint32_t DefaultEpochAdvanceInterval() {
-  return static_cast<uint32_t>(tune::EpochAdvanceInterval().Get());
-}
-
-void SetDefaultEpochAdvanceInterval(uint32_t retires) {
-  tune::EpochAdvanceInterval().Set(retires);
-}
-
-uint32_t DefaultEpochRetireBatch() {
-  return static_cast<uint32_t>(tune::EpochRetireBatch().Get());
-}
-
-void SetDefaultEpochRetireBatch(uint32_t entries) {
-  tune::EpochRetireBatch().Set(entries);
-}
-
-uint32_t DefaultSimdBackend() {
-  return static_cast<uint32_t>(tune::SimdBackend().Get());
-}
-
-void SetDefaultSimdBackend(uint32_t backend) {
-  tune::SimdBackend().Set(backend);
-}
-
-void MachineModel::ApplyAll() const {
-  tune::ProbeGroupSize().Set(probe_group_size);
-  tune::AmacRingWidth().Set(amac_ring_width);
-  tune::AmacMinTableBytes().Set(amac_min_table_bytes);
-  tune::StreamBatchRows().Set(stream_batch_rows);
-  tune::StreamMaxInflight().Set(stream_max_inflight);
-  tune::StreamLatenessBound().Set(stream_lateness_bound);
-  tune::EpochAdvanceInterval().Set(epoch_advance_interval);
-  tune::EpochRetireBatch().Set(epoch_retire_batch);
-  tune::MorselRows().Set(morsel_rows);
-  tune::SimdBackend().Set(simd_backend);
-}
 
 MachineModel MachineModel::Server2013() {
   MachineModel m;
@@ -139,31 +48,7 @@ MachineModel MachineModel::ManyCore() {
   m.dram_latency_cycles = 300;
   m.numa_nodes = 4;
   m.numa_remote_multiplier = 2.0;
-  // Small in-order-ish cores track fewer outstanding misses, and the
-  // missing L3 means a micro-batch must fit the 512KB L2 alongside the
-  // window state it updates.
-  m.probe_group_size = 8;
-  m.amac_ring_width = 8;
-  m.stream_batch_rows = 2048;
-  // No shared LLC: a table is effectively DRAM-resident once past L2, so
-  // the AMAC gate sits right above it.
-  m.amac_min_table_bytes = 2 * 512 * 1024;
   return m;
-}
-
-/// The AMAC gate from a cache hierarchy: the footprint where chain steps
-/// start missing whatever cache the table can actually occupy. With a
-/// shared last-level cache every core competes for it, so the per-core
-/// effective share (LLC / cores) is the knee; without one the last
-/// private level is. The tunable's own bounds keep degenerate topologies
-/// (tiny embedded caches, enormous LLCs) inside the measured-sane range.
-static uint64_t DeriveAmacGateBytes(const std::vector<CacheLevelSpec>& caches,
-                                    uint32_t cores) {
-  if (caches.empty()) return 2u << 20;
-  const CacheLevelSpec& last = caches.back();
-  uint64_t bytes = last.size_bytes;
-  if (last.shared && cores > 0) bytes /= cores;
-  return tune::AmacMinTableBytes().Clamp(bytes);
 }
 
 MachineModel MachineModel::FromHost(const CpuTopology& topo) {
@@ -186,13 +71,7 @@ MachineModel MachineModel::FromHost(const CpuTopology& topo) {
       ++i;
     }
   }
-  // Feed the detected hierarchy into the AMAC footprint gate instead of
-  // inheriting Server2013's constant: the whole point of FromHost is that
-  // the knobs track the machine underfoot.
-  m.amac_min_table_bytes = DeriveAmacGateBytes(m.caches, m.cores);
-  // Record the cpuid answer instead of the hand-built models' "best"
-  // request, so the tunables dump states which ISA this host actually ran.
-  m.simd_backend = topo.isa.avx2 ? 2u : topo.isa.sse42 ? 1u : 0u;
+  m.isa = topo.isa;
   return m;
 }
 
@@ -205,9 +84,7 @@ std::string MachineModel::ToString() const {
        << c.hit_latency_cycles << "cy";
   }
   os << " dram=" << dram_latency_cycles << "cy numa=" << numa_nodes << "x"
-     << numa_remote_multiplier << " simd="
-     << (simd_backend >= 2 ? "avx2" : simd_backend == 1 ? "sse4.2"
-                                                        : "scalar");
+     << numa_remote_multiplier << " isa=" << isa.ToString();
   return os.str();
 }
 

@@ -32,13 +32,9 @@ struct TlbSpec {
 /// NUMA model and the energy model, so every experiment states its machine
 /// explicitly.
 ///
-/// It is also the *publication source* for the runtime's hardware knobs:
-/// the tunable fields below are a model's opinion of where each knob
-/// should sit, and ApplyAll() installs them into the hwstar::tune
-/// registry — the one named/bounded/relaxed-atomic substrate every kernel
-/// reads its defaults from (and that the tune::Calibrator overwrites with
-/// measured winners). A MachineModel is a starting point; the registry is
-/// the live truth.
+/// It describes hardware only. The runtime's knobs live in the
+/// hwstar::tune registry; tune::ApplyMachine derives the hardware-dependent
+/// ones (the AMAC footprint gate, the SIMD backend) from a model.
 struct MachineModel {
   std::string name;
   uint32_t cores = 8;
@@ -57,66 +53,9 @@ struct MachineModel {
   double energy_pj_l3_hit = 100.0;
   double energy_pj_dram = 2000.0;
   double energy_pj_instruction = 1.0;
-
-  // --- Tunable fields (published into tune::Registry by ApplyAll) ------
-
-  /// Default group size for the batched GP probe kernels in hwstar::ops:
-  /// the number of independent cache misses kept in flight. The useful
-  /// range is bounded by the core's miss-handling resources (~10
-  /// line-fill buffers on 2013-era parts), which is why the default sits
-  /// at 16 rather than scaling with table size.
-  uint32_t probe_group_size = 16;
-  /// AMAC ring width for chained-bucket walks (tune::AmacRingWidth),
-  /// calibrated separately from the GP width.
-  uint32_t amac_ring_width = 16;
-  /// Table footprint below which the AMAC kernels degrade to the scalar
-  /// walk (tune::AmacMinTableBytes): a cache-resident table's chain steps
-  /// hit and the ring's state shuffle is pure overhead. FromHost() derives
-  /// this from the discovered cache hierarchy (roughly the per-core share
-  /// of the last-level cache); the hand-built models carry the 2MB the E18
-  /// measurements were taken at.
-  uint64_t amac_min_table_bytes = 2u << 20;
-
-  /// Streaming knobs consumed by hwstar::stream.
-  ///
-  /// Rows per micro-batch: the streaming unit of work, so it trades
-  /// per-batch dispatch/partitioning overhead against emission latency
-  /// and cache footprint. 4096 rows of (key, value, ts) is 96KB — it
-  /// streams through L2 without evicting the window state that has to
-  /// stay hot between batches.
-  uint32_t stream_batch_rows = 4096;
-  /// Bound on queued micro-batches per pipeline partition: the
-  /// backpressure budget. Past it the pipeline blocks the pump or sheds
-  /// oldest-first, depending on its policy — an unbounded queue is the
-  /// streaming analogue of the admission-free svc baseline.
-  uint32_t stream_max_inflight = 8;
-  /// Watermark lateness bound in event-time units: how far records may
-  /// arrive out of order before they are dropped as late. An ingestion
-  /// property rather than a silicon one, but a default the whole process
-  /// should agree on, so it lives on the same knob surface.
-  uint64_t stream_lateness_bound = 1024;
-
-  /// Reclamation knobs consumed by hwstar::sync.
-  ///
-  /// Retires between epoch-advance attempts: the advance scan reads every
-  /// registered thread's slot, so its cost grows with thread count and it
-  /// must be amortized over many retires. Smaller = tighter memory bound,
-  /// larger = fewer shared-line reads on the write path.
-  uint32_t epoch_advance_interval = 64;
-  /// Per-thread retire-list length that triggers a sweep. Bounds the
-  /// reclamation backlog a single writer can accumulate; the worst-case
-  /// deferred footprint is roughly threads x retire_batch x object size.
-  uint32_t epoch_retire_batch = 128;
-
-  /// Rows per morsel for morsel-driven parallel loops (tune::MorselRows).
-  uint64_t morsel_rows = uint64_t{1} << 16;
-
-  /// Requested simd::Backend for the data-parallel kernels
-  /// (tune::SimdBackend): 0 = scalar, 1 = SSE4.2, 2 = AVX2. The hand-built
-  /// models ask for the best (2) and let simd::ActiveBackend cap it at
-  /// what the host cpuid actually reports; FromHost() records the detected
-  /// answer so the knob dump names the ISA the machine really ran.
-  uint32_t simd_backend = 2;
+  /// SIMD extensions. The hand-built models claim SSE4.2 and AVX2;
+  /// FromHost() copies the cpuid answer.
+  CpuIsaFeatures isa{.sse42 = true, .avx2 = true};
 
   /// A 2013-era two-socket server: 8 cores, 32KB/256KB/20MB caches, 2 NUMA
   /// nodes with 1.6x remote latency.
@@ -129,78 +68,13 @@ struct MachineModel {
   /// latency -- the "sea of simple cores" direction the paper discusses.
   static MachineModel ManyCore();
 
-  /// Builds a model from the discovered host topology, filling latencies
-  /// with the Server2013 defaults. The AMAC footprint gate is derived
-  /// from the detected cache sizes (per-core share of a shared LLC, or
-  /// the last private level when there is no shared cache) instead of the
-  /// hand-built models' constant.
+  /// Builds a model from the discovered host topology (cores, caches,
+  /// ISA), filling latencies with the Server2013 defaults.
   static MachineModel FromHost(const CpuTopology& topo);
-
-  /// Publishes every tunable field above into the process-wide
-  /// tune::Registry — the single publication path that replaced the old
-  /// ApplyProbeDefaults / ApplyStreamDefaults / ApplySyncDefaults trio.
-  /// Each value passes through its tunable's central clamp, so a model
-  /// carrying an out-of-range value publishes the nearest legal one.
-  void ApplyAll() const;
 
   /// One-line summary for reports.
   std::string ToString() const;
 };
-
-/// Process-wide default accessors, now thin wrappers over the hwstar::tune
-/// registry (one relaxed atomic load / clamped relaxed store). They are
-/// kept because consumers read knobs through them on hot paths and the
-/// hw:: spelling documents *which* hardware assumption is being consulted;
-/// the registry is the single backing store, so tune::Registry::Global()
-/// .Set("probe.group_size", ...), a Calibrator install, and
-/// SetDefaultProbeGroupSize() are all the same write with the same bounds.
-///
-/// All values are performance hints, never correctness inputs.
-
-/// GP group width the batched probe kernels use when a caller passes 0.
-/// Clamped to a power of two in [4, 32] (the compiled kernel widths).
-uint32_t DefaultProbeGroupSize();
-void SetDefaultProbeGroupSize(uint32_t group_size);
-
-/// AMAC ring width for chained-bucket walks when a caller passes 0.
-/// Clamped to a power of two in [4, 32].
-uint32_t DefaultAmacRingWidth();
-void SetDefaultAmacRingWidth(uint32_t ring_width);
-
-/// Footprint gate below which AMAC kernels take the scalar walk.
-/// Clamped to [64KB, 1GB].
-uint64_t DefaultAmacMinTableBytes();
-void SetDefaultAmacMinTableBytes(uint64_t bytes);
-
-/// Rows per streaming micro-batch. Clamped to [64, 1<<20].
-uint32_t DefaultStreamBatchRows();
-void SetDefaultStreamBatchRows(uint32_t rows);
-
-/// Bound on in-flight micro-batches per pipeline partition. Clamped to
-/// [1, 4096].
-uint32_t DefaultStreamMaxInflight();
-void SetDefaultStreamMaxInflight(uint32_t batches);
-
-/// Watermark lateness bound (event-time units; 0 = drop everything behind
-/// the max timestamp seen).
-uint64_t DefaultStreamLatenessBound();
-void SetDefaultStreamLatenessBound(uint64_t bound);
-
-/// Retires-per-advance-attempt cadence for sync::EpochManager. Clamped to
-/// [1, 1<<20].
-uint32_t DefaultEpochAdvanceInterval();
-void SetDefaultEpochAdvanceInterval(uint32_t retires);
-
-/// Per-thread retire-list sweep threshold for sync::EpochManager. Clamped
-/// to [1, 1<<20].
-uint32_t DefaultEpochRetireBatch();
-void SetDefaultEpochRetireBatch(uint32_t entries);
-
-/// Requested SIMD backend for the hwstar::simd kernels (0 = scalar,
-/// 1 = SSE4.2, 2 = AVX2). Clamped to [0, 2]; additionally capped at the
-/// host's cpuid support when read through simd::ActiveBackend().
-uint32_t DefaultSimdBackend();
-void SetDefaultSimdBackend(uint32_t backend);
 
 }  // namespace hwstar::hw
 

@@ -18,9 +18,10 @@ struct CacheLevelInfo {
 };
 
 /// SIMD instruction-set extensions of the host CPU, as reported by cpuid.
-/// These pick the hwstar::simd kernel backend (and FromHost's
-/// simd_backend knob value); every bench and calibration log records them
-/// so a number is never quoted without the ISA that produced it.
+/// These pick the hwstar::simd kernel backend (and, through
+/// MachineModel::isa, tune::ApplyMachine's simd.backend value); every bench
+/// and calibration log records them so a number is never quoted without
+/// the ISA that produced it.
 struct CpuIsaFeatures {
   bool sse42 = false;    ///< SSE4.2 (pcmpgtq, the 2-lane backend floor)
   bool avx2 = false;     ///< AVX2 (the 4-lane backend)

@@ -116,8 +116,6 @@
 #include "hwstar/svc/service.h"
 
 // Workload generation and measurement.
-#include "hwstar/perf/counters.h"
-#include "hwstar/perf/harness.h"
 #include "hwstar/perf/report.h"
 #include "hwstar/workload/distributions.h"
 #include "hwstar/workload/tpch_like.h"

@@ -57,7 +57,7 @@ class AdaptiveRadixTree {
   bool Find(uint64_t key, uint64_t* value) const;
 
   /// Batched point lookups with interleaved descents: keys are processed
-  /// in groups of `group_size` (0 = hw::DefaultProbeGroupSize); each
+  /// in groups of `group_size` (0 = the tune::ProbeGroupSize knob); each
   /// round advances every still-descending key by one trie node and
   /// prefetches the next node, so up to G node misses are in flight while
   /// a scalar descent would hold exactly one. Results are bit-identical

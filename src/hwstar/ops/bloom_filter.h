@@ -20,7 +20,7 @@ class BloomFilter {
   bool MayContain(uint64_t key) const;
 
   /// Batched query with group prefetching: hashes `group_size` keys (0 =
-  /// hw::DefaultProbeGroupSize), prefetches each key's first probe word,
+  /// the tune::ProbeGroupSize knob), prefetches each key's first probe word,
   /// then tests the group. out[i] is bit-identical to MayContain(keys[i]).
   /// Later probe words of a k-probe query still miss serially -- the
   /// scattered layout is exactly why the blocked variant below exists.

@@ -53,7 +53,7 @@ class BPlusTree {
   bool Find(uint64_t key, uint64_t* value) const;
 
   /// Batched point lookups with level-synchronous group prefetching: the
-  /// group of `group_size` keys (0 = hw::DefaultProbeGroupSize) descends
+  /// group of `group_size` keys (0 = the tune::ProbeGroupSize knob) descends
   /// the tree one level at a time; at each level every lane picks its
   /// child and prefetches the child node, then a second sweep prefetches
   /// each child's key array, so a whole group's next-level misses are in

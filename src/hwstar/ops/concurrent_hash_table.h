@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "hwstar/common/hash.h"
@@ -60,11 +59,6 @@ class ConcurrentHashTable {
       }
       slot = (slot + 1) & mask_;
     }
-  }
-
-  /// Type-erased convenience overload; forwards to the template above.
-  uint32_t Probe(uint64_t key, const std::function<void(uint64_t)>& fn) const {
-    return Probe<const std::function<void(uint64_t)>&>(key, fn);
   }
 
   /// Batched Find with group prefetching (see LinearProbeTable::FindBatch

@@ -217,7 +217,7 @@ size_t ChainedTable::FindBatch(const uint64_t* keys, size_t n,
     // knob, read per batch. An explicit nonzero group_size skips the
     // gate entirely — the caller (a Calibrator trial, a pinned-width
     // bench arm) is asking for the ring, not for a policy decision.
-    if (MemoryBytes() < hw::DefaultAmacMinTableBytes()) {
+    if (MemoryBytes() < tune::AmacMinTableBytes().Get()) {
       // Cache-resident walk: chain steps hit, so hashing is a real
       // fraction of the cost -- run it data-parallel in chunks and
       // feed the precomputed buckets to the walk.
@@ -239,7 +239,7 @@ size_t ChainedTable::FindBatch(const uint64_t* keys, size_t n,
       }
       return hits;
     }
-    group_size = hw::DefaultAmacRingWidth();
+    group_size = static_cast<uint32_t>(tune::AmacRingWidth().Get());
   }
   WithProbeGroup(group_size, [&](auto g) {
     constexpr uint32_t K = decltype(g)::value;

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "hwstar/common/macros.h"
 #include "hwstar/ops/probe_kernels.h"
 #include "hwstar/simd/kernels.h"
+#include "hwstar/tune/tunable.h"
 
 namespace hwstar::sync {
 class EpochManager;
@@ -58,12 +58,6 @@ class LinearProbeTable {
     });
   }
 
-  /// Type-erased convenience overload for callers that already hold a
-  /// std::function; forwards to the template above.
-  uint32_t Probe(uint64_t key, const std::function<void(uint64_t)>& fn) const {
-    return Probe<const std::function<void(uint64_t)>&>(key, fn);
-  }
-
   /// Counts matches without a callback. This is the join hot path: no
   /// statistics are recorded so it is safe to call concurrently from many
   /// probe threads (the table itself is read-only here).
@@ -91,7 +85,7 @@ class LinearProbeTable {
   bool Find(uint64_t key, uint64_t* out) const;
 
   /// Batched Find with group prefetching: hashes keys in groups of
-  /// `group_size` (0 = hw::DefaultProbeGroupSize, rounded to a compiled
+  /// `group_size` (0 = the tune::ProbeGroupSize knob, rounded to a compiled
   /// size), prefetches every group member's home slot, then probes the
   /// group -- so up to G misses overlap instead of serializing. Results
   /// are bit-identical to calling Find per key: values[i] gets the first
@@ -267,11 +261,6 @@ class ChainedTable {
     return ProbeAtBucket(HomeSlot(key), key, std::forward<Fn>(fn));
   }
 
-  /// Type-erased convenience overload; forwards to the template above.
-  uint32_t Probe(uint64_t key, const std::function<void(uint64_t)>& fn) const {
-    return Probe<const std::function<void(uint64_t)>&>(key, fn);
-  }
-
   uint32_t CountMatches(uint64_t key) const;
   bool Find(uint64_t key, uint64_t* out) const;
 
@@ -280,13 +269,10 @@ class ChainedTable {
   /// (E18 measured up to ~2x slowdown on an L1-resident table). FindBatch
   /// and ProbeBatch degrade to the scalar walk under it -- the paper's
   /// discipline: the right code depends on where the data lands in the
-  /// hierarchy, so the kernel checks. The live gate is the
-  /// tune::AmacMinTableBytes knob (read per batch via
-  /// hw::DefaultAmacMinTableBytes): hw::MachineModel::FromHost derives it
-  /// from the discovered cache hierarchy and the tune::Calibrator
-  /// re-measures the crossover; this constant is only that knob's spec
-  /// default, kept for tests that size tables relative to it.
-  static constexpr uint64_t kAmacMinTableBytes = 2u << 20;
+  /// hierarchy, so the kernel checks. The gate is the
+  /// tune::AmacMinTableBytes knob, read per batch: tune::ApplyMachine
+  /// derives it from a machine's cache hierarchy and the tune::Calibrator
+  /// re-measures the crossover.
 
   /// Batched Find via AMAC: a ring of `group_size` in-flight bucket walks
   /// (each stage prefetches its next node and yields), so chained misses
@@ -313,7 +299,7 @@ class ChainedTable {
     if (group_size == 0) {
       // Same auto-vs-forced split as FindBatch: the footprint gate only
       // arbitrates when the caller left the width to policy.
-      if (MemoryBytes() < hw::DefaultAmacMinTableBytes()) {
+      if (MemoryBytes() < tune::AmacMinTableBytes().Get()) {
         // Cache-resident walk: chain steps hit, so the remaining cost is
         // compute -- chunk the hash phase through Mix64Batch so at least
         // the hashing runs data-parallel.
@@ -331,7 +317,7 @@ class ChainedTable {
         }
         return matches;
       }
-      group_size = hw::DefaultAmacRingWidth();
+      group_size = static_cast<uint32_t>(tune::AmacRingWidth().Get());
     }
     WithProbeGroup(group_size, [&](auto g) {
       constexpr uint32_t K = decltype(g)::value;

@@ -89,7 +89,7 @@ JoinResult ProbeAll(const Table& table, const Relation& probe,
   std::atomic<uint64_t> matches{0};
   std::mutex pairs_mutex;
   exec::ParallelForMorsels(
-      options.pool, n, exec::DefaultMorselRows(),
+      options.pool, n, /*morsel_size=*/0,
       [&](uint32_t /*worker*/, exec::Morsel m) {
         uint64_t local_matches = 0;
         std::vector<JoinPair> local_pairs;
@@ -121,7 +121,7 @@ JoinResult NoPartitionHashJoin(const Relation& build, const Relation& probe,
   if (options.parallel_build && options.pool != nullptr) {
     ConcurrentHashTable table(build.size(), options.load_factor);
     exec::ParallelForMorsels(
-        options.pool, build.size(), exec::DefaultMorselRows(),
+        options.pool, build.size(), /*morsel_size=*/0,
         [&](uint32_t /*worker*/, exec::Morsel m) {
           for (uint64_t i = m.begin; i < m.end; ++i) {
             table.Insert(build.keys[i], build.payloads[i]);

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "hwstar/common/macros.h"
-#include "hwstar/hw/machine_model.h"
+#include "hwstar/tune/tunable.h"
 
 namespace hwstar::ops {
 
@@ -40,12 +40,11 @@ namespace hwstar::ops {
 /// Group size is a compile-time constant inside the kernels (the staging
 /// arrays must live in registers / L1 and the inner loops must unroll),
 /// dispatched from a runtime value by WithProbeGroup. Callers pass 0 to
-/// use the process-wide default: the tune::ProbeGroupSize knob (read here
-/// via hw::DefaultProbeGroupSize), published by
-/// hw::MachineModel::ApplyAll and re-measured by the tune::Calibrator.
-/// The knob is re-read on every batch, so a calibration install takes
-/// effect mid-run; results are bit-identical across a flip because group
-/// width only changes which misses overlap, never what is probed.
+/// use the process-wide default: the tune::ProbeGroupSize knob, which the
+/// tune::Calibrator re-measures. The knob is re-read on every batch, so a
+/// calibration install takes effect mid-run; results are bit-identical
+/// across a flip because group width only changes which misses overlap,
+/// never what is probed.
 ///
 /// Interaction with optimistic reads (hwstar/sync): the index FindBatch
 /// kernels run these loops inside an OLC retry scope -- version
@@ -65,7 +64,9 @@ inline constexpr uint32_t kProbeGroupSizes[] = {4, 8, 16, 32};
 template <typename Body>
 HWSTAR_ALWAYS_INLINE decltype(auto) WithProbeGroup(uint32_t group_size,
                                                    Body&& body) {
-  if (group_size == 0) group_size = hw::DefaultProbeGroupSize();
+  if (group_size == 0) {
+    group_size = static_cast<uint32_t>(tune::ProbeGroupSize().Get());
+  }
   if (group_size <= 4) return body(std::integral_constant<uint32_t, 4>{});
   if (group_size <= 8) return body(std::integral_constant<uint32_t, 8>{});
   if (group_size <= 16) return body(std::integral_constant<uint32_t, 16>{});

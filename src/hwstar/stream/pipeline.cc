@@ -5,8 +5,8 @@
 
 #include "hwstar/common/hash.h"
 #include "hwstar/common/macros.h"
-#include "hwstar/hw/machine_model.h"
 #include "hwstar/stream/watermark.h"
+#include "hwstar/tune/tunable.h"
 
 namespace hwstar::stream {
 
@@ -51,7 +51,9 @@ void Pipeline::Run() {
     // *running* pipeline: this is the knob the online feedback loop
     // actuates when emission p99 drifts from its target.
     const uint32_t rows =
-        batch_rows_ != 0 ? batch_rows_ : hw::DefaultStreamBatchRows();
+        batch_rows_ != 0
+            ? batch_rows_
+            : static_cast<uint32_t>(tune::StreamBatchRows().Get());
     if (!source_->NextBatch(rows, &batch)) break;
     for (const uint64_t ts : batch.event_ts) tracker.Observe(ts);
     batch.watermark = tracker.watermark();
@@ -267,13 +269,14 @@ std::unique_ptr<Pipeline> PipelineBuilder::Build() {
   // other options freeze at build time (queue bounds and watermark
   // semantics must not move under a running pipeline).
   pipeline->batch_rows_ = options_.batch_rows;
-  pipeline->max_inflight_ = options_.max_inflight != 0
-                                ? options_.max_inflight
-                                : hw::DefaultStreamMaxInflight();
+  pipeline->max_inflight_ =
+      options_.max_inflight != 0
+          ? options_.max_inflight
+          : static_cast<uint32_t>(tune::StreamMaxInflight().Get());
   pipeline->lateness_bound_ =
       options_.lateness_bound != PipelineOptions::kUseDefault
           ? options_.lateness_bound
-          : hw::DefaultStreamLatenessBound();
+          : tune::StreamLatenessBound().Get();
   pipeline->backpressure_ = options_.backpressure;
   pipeline->flush_on_end_ = options_.flush_on_end;
 

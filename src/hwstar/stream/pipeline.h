@@ -69,10 +69,10 @@ struct PipelineOptions {
   /// re-tuning reaches a running pipeline; nonzero pins the size.
   uint32_t batch_rows = 0;
   /// Max queued micro-batches per partition
-  /// (0 = hw::DefaultStreamMaxInflight()).
+  /// (0 = the tune::StreamMaxInflight knob).
   uint32_t max_inflight = 0;
   /// Watermark lateness bound in event-time units
-  /// (kUseDefault = hw::DefaultStreamLatenessBound()).
+  /// (kUseDefault = the tune::StreamLatenessBound knob).
   static constexpr uint64_t kUseDefault = ~uint64_t{0};
   uint64_t lateness_bound = kUseDefault;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;

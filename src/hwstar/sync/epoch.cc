@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "hwstar/common/macros.h"
-#include "hwstar/hw/machine_model.h"
+#include "hwstar/tune/tunable.h"
 
 namespace hwstar::sync {
 
@@ -215,11 +215,11 @@ void EpochManager::Retire(void* ptr, void (*deleter)(void*), size_t bytes) {
   // Cadence: attempt an advance every epoch_advance_interval retires and
   // sweep once the private list reaches the retire batch. Both bound the
   // retire-list footprint without putting an advance scan on every op.
-  if (++r.retires_since_advance >= hw::DefaultEpochAdvanceInterval()) {
+  if (++r.retires_since_advance >= tune::EpochAdvanceInterval().Get()) {
     r.retires_since_advance = 0;
     core_->TryAdvance();
   }
-  if (r.list.size() >= hw::DefaultEpochRetireBatch()) {
+  if (r.list.size() >= tune::EpochRetireBatch().Get()) {
     core_->Sweep(&r.list);
     core_->SweepOrphans();
   }

@@ -32,9 +32,8 @@ namespace hwstar::sync {
 /// Retire lists are per-thread (no shared-line writes on the retire path
 /// either); a thread sweeps its own list when it exceeds the retire
 /// batch, and attempts an epoch advance every `epoch_advance_interval`
-/// retires (both knobs live in the tune registry — epoch.retire_batch /
-/// epoch.advance_interval, published by hw::MachineModel::ApplyAll and
-/// nudged online by tune::Controller).
+/// retires (both knobs live in the tune registry — tune::EpochRetireBatch
+/// / tune::EpochAdvanceInterval, nudged online by tune::Controller).
 /// A thread that exits with unreclaimed retirees flushes them to a
 /// shared orphan list that other threads sweep opportunistically.
 ///

@@ -13,9 +13,8 @@ namespace hwstar::tune {
 /// second on a laptop core and are safe on a 1-CPU CI runner; benches that
 /// want tighter confidence raise keys/repetitions.
 struct CalibratorOptions {
-  /// Machine whose cache hierarchy chooses the trial footprints (and
-  /// whose ApplyAll values seed the sweep bounds). Default: the
-  /// discovered host.
+  /// Machine whose cache hierarchy chooses the trial footprints; only
+  /// `model.caches` is read. Default: the discovered host.
   hw::MachineModel model;
   /// Explicit trial footprints in bytes (table MemoryBytes targets).
   /// Empty = derive from model.caches: half of each level (resident

@@ -1,8 +1,10 @@
 #include "hwstar/tune/tunable.h"
 
+#include <array>
 #include <sstream>
 
 #include "hwstar/common/macros.h"
+#include "hwstar/hw/machine_model.h"
 
 namespace hwstar::tune {
 
@@ -191,24 +193,38 @@ Tunable& SimdBackend() {
 }
 
 namespace {
+
+std::array<Tunable*, 10> CoreKnobs() {
+  return {&ProbeGroupSize(),       &AmacRingWidth(),
+          &AmacMinTableBytes(),    &StreamBatchRows(),
+          &StreamMaxInflight(),    &StreamLatenessBound(),
+          &EpochAdvanceInterval(), &EpochRetireBatch(),
+          &MorselRows(),           &SimdBackend()};
+}
+
 // Eagerly touch every core accessor at static-init time, so by-name
 // lookups (ServiceOptions::tunables, ops tooling, dumps) see the full
 // set in any process that links the registry — not just processes that
 // happened to run a kernel first. The accessors' magic statics make this
 // safe to race with early first-use from other initializers.
-const bool g_core_knobs_registered = [] {
-  ProbeGroupSize();
-  AmacRingWidth();
-  AmacMinTableBytes();
-  StreamBatchRows();
-  StreamMaxInflight();
-  StreamLatenessBound();
-  EpochAdvanceInterval();
-  EpochRetireBatch();
-  MorselRows();
-  SimdBackend();
-  return true;
-}();
+const bool g_core_knobs_registered = (CoreKnobs(), true);
+
 }  // namespace
+
+void ApplyMachine(const hw::MachineModel& m) {
+  for (Tunable* t : CoreKnobs()) t->Reset();
+  // The AMAC gate is where chain steps start missing whatever cache the
+  // table can actually occupy. With a shared last-level cache every core
+  // competes for it, so the per-core share is the knee; without one the
+  // last private level is. The knob's bounds keep degenerate hierarchies
+  // (tiny embedded caches, enormous LLCs) inside the measured-sane range.
+  if (!m.caches.empty()) {
+    const hw::CacheLevelSpec& last = m.caches.back();
+    AmacMinTableBytes().Set(last.shared && m.cores > 0
+                                ? last.size_bytes / m.cores
+                                : last.size_bytes);
+  }
+  SimdBackend().Set(m.isa.avx2 ? 2 : m.isa.sse42 ? 1 : 0);
+}
 
 }  // namespace hwstar::tune

@@ -10,6 +10,10 @@
 #include <utility>
 #include <vector>
 
+namespace hwstar::hw {
+struct MachineModel;
+}  // namespace hwstar::hw
+
 namespace hwstar::tune {
 
 /// The self-tuning substrate's unit of configuration: one named, typed,
@@ -18,9 +22,9 @@ namespace hwstar::tune {
 /// every knob that encodes a hardware assumption (probe group width, the
 /// AMAC footprint gate, micro-batch rows, reclamation cadence, morsel
 /// size) lives behind one of these instead of a one-off global, so it can
-/// be published from a MachineModel, re-measured by the Calibrator,
-/// nudged online by the Controller, and dumped next to metrics — all
-/// through one surface.
+/// be derived from a MachineModel (ApplyMachine), re-measured by the
+/// Calibrator, nudged online by the Controller, and dumped next to
+/// metrics — all through one surface.
 ///
 /// Contract: values are *performance hints, never correctness inputs*.
 /// Get() is a single relaxed atomic load (hot paths read knobs every
@@ -126,9 +130,10 @@ class Registry {
 };
 
 /// Core knobs, registered in Registry::Global() on first use. These are
-/// the hardware-consciousness surface that used to be scattered across
-/// `g_probe_group_size`-style globals in hw/machine_model.cc; each
-/// accessor returns the same Tunable for the life of the process.
+/// the hardware-consciousness surface and the only spelling of each knob:
+/// hot paths read `X().Get()`; the Calibrator, the Controller, config
+/// hooks and tests write `X().Set()`. Each accessor returns the same
+/// Tunable for the life of the process.
 ///
 /// GP group width for the batched probe kernels (linear-probe /
 /// concurrent hash tables, ART, B+-tree, Bloom filters): the number of
@@ -144,7 +149,7 @@ Tunable& AmacRingWidth();
 /// Footprint (bytes) below which AMAC degrades to the scalar walk: a
 /// cache-resident table's chain steps hit, and the ring's state shuffle
 /// is pure overhead. Derived from the machine's cache specs by
-/// MachineModel::FromHost and re-measured by the Calibrator.
+/// ApplyMachine and re-measured by the Calibrator.
 Tunable& AmacMinTableBytes();
 
 /// Rows per streaming micro-batch (dispatch amortization vs. emission
@@ -166,7 +171,12 @@ Tunable& EpochAdvanceInterval();
 /// reclamation footprint).
 Tunable& EpochRetireBatch();
 
-/// Rows per morsel for morsel-driven parallel loops.
+/// Rows per morsel for morsel-driven parallel loops (exec::MorselDispenser
+/// and every entry point that passes morsel_size 0). The default, 2^16, is
+/// the largest power of two under the ~100K tuples Leis et al. recommend:
+/// a morsel of 8-byte values is 512 KiB, so the dispenser's shared
+/// fetch_add amortizes to well under 0.1% of the morsel's work, while a
+/// 16M-row input still splits into 256 morsels for rebalancing.
 Tunable& MorselRows();
 
 /// Requested simd::Backend for the data-parallel kernels (0 = scalar,
@@ -177,6 +187,17 @@ Tunable& MorselRows();
 /// per structure class and installs the winner here, exactly like the
 /// GP/AMAC width knobs.
 Tunable& SimdBackend();
+
+/// Derives the core knobs from a machine description: every core knob
+/// goes back to its spec default, then the two that depend on the
+/// hardware are set from it.
+///  - probe.amac_min_table_bytes: the footprint where chain steps start
+///    missing the cache a table can occupy — the per-core share of a
+///    shared last-level cache, else the last private level (spec default
+///    when the model lists no caches).
+///  - simd.backend: the best backend `m.isa` supports.
+/// Values pass through each knob's clamp as usual.
+void ApplyMachine(const hw::MachineModel& m);
 
 }  // namespace hwstar::tune
 

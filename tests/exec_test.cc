@@ -11,6 +11,7 @@
 #include "hwstar/exec/affinity.h"
 #include "hwstar/exec/executor.h"
 #include "hwstar/exec/morsel.h"
+#include "hwstar/tune/tunable.h"
 
 namespace hwstar::exec {
 namespace {
@@ -348,7 +349,7 @@ TEST(MorselDispenserTest, ExhaustedDispenserStaysExhausted) {
 
 TEST(MorselDispenserTest, DefaultMorselSizeIsTheSharedConstant) {
   MorselDispenser dispenser(1 << 20);
-  EXPECT_EQ(dispenser.morsel_size(), kDefaultMorselRows);
+  EXPECT_EQ(dispenser.morsel_size(), tune::MorselRows().Get());
 }
 
 TEST(ParallelForTest, MorselSumMatchesSequential) {

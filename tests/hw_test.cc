@@ -3,6 +3,7 @@
 #include "hwstar/hw/cycle_counter.h"
 #include "hwstar/hw/machine_model.h"
 #include "hwstar/hw/topology.h"
+#include "hwstar/tune/tunable.h"
 
 namespace hwstar::hw {
 namespace {
@@ -63,6 +64,7 @@ TEST(MachineModelTest, FromHostUsesDiscoveredCaches) {
   EXPECT_EQ(m.cores, topo.logical_cores);
   EXPECT_EQ(m.caches.size(), topo.caches.size());
   EXPECT_EQ(m.caches[0].size_bytes, topo.caches[0].size_bytes);
+  EXPECT_EQ(m.isa.ToString(), topo.isa.ToString());
 }
 
 TEST(MachineModelTest, EnergyRatiosAreHierarchical) {
@@ -78,6 +80,8 @@ TEST(MachineModelTest, ToStringIsInformative) {
   std::string s = MachineModel::Server2013().ToString();
   EXPECT_NE(s.find("server2013"), std::string::npos);
   EXPECT_NE(s.find("dram="), std::string::npos);
+  // Hand-built models claim the ISA the best compiled backend needs.
+  EXPECT_NE(s.find("isa=sse4.2 avx2"), std::string::npos);
 }
 
 TEST(CycleCounterTest, MonotonicNonDecreasing) {
@@ -96,84 +100,70 @@ TEST(CycleCounterTest, FrequencyEstimatePlausible) {
 }
 
 TEST(MachineModelTest, StreamKnobDefaultsAndClamping) {
-  // Save/restore: the knobs are process-wide.
-  const uint32_t rows_before = DefaultStreamBatchRows();
-  const uint32_t inflight_before = DefaultStreamMaxInflight();
-  const uint64_t bound_before = DefaultStreamLatenessBound();
+  // The knobs are process-wide: leave them at their spec defaults.
+  tune::ApplyMachine(MachineModel{});
+  EXPECT_EQ(tune::StreamBatchRows().Get(), 4096u);
+  EXPECT_EQ(tune::StreamMaxInflight().Get(), 8u);
+  EXPECT_EQ(tune::StreamLatenessBound().Get(), 1024u);
 
-  MachineModel{}.ApplyAll();
-  EXPECT_EQ(DefaultStreamBatchRows(), 4096u);
-  EXPECT_EQ(DefaultStreamMaxInflight(), 8u);
-  EXPECT_EQ(DefaultStreamLatenessBound(), 1024u);
+  tune::StreamBatchRows().Set(1);  // clamped up to 64
+  EXPECT_EQ(tune::StreamBatchRows().Get(), 64u);
+  tune::StreamBatchRows().Set(1u << 30);  // clamped down to 1M rows
+  EXPECT_EQ(tune::StreamBatchRows().Get(), 1u << 20);
+  tune::StreamBatchRows().Set(2048);
+  EXPECT_EQ(tune::StreamBatchRows().Get(), 2048u);
 
-  SetDefaultStreamBatchRows(1);  // clamped up to 64
-  EXPECT_EQ(DefaultStreamBatchRows(), 64u);
-  SetDefaultStreamBatchRows(1u << 30);  // clamped down to 1M rows
-  EXPECT_EQ(DefaultStreamBatchRows(), 1u << 20);
-  SetDefaultStreamBatchRows(2048);
-  EXPECT_EQ(DefaultStreamBatchRows(), 2048u);
+  tune::StreamMaxInflight().Set(0);  // clamped up to 1
+  EXPECT_EQ(tune::StreamMaxInflight().Get(), 1u);
+  tune::StreamMaxInflight().Set(1 << 20);  // clamped down to 4096
+  EXPECT_EQ(tune::StreamMaxInflight().Get(), 4096u);
 
-  SetDefaultStreamMaxInflight(0);  // clamped up to 1
-  EXPECT_EQ(DefaultStreamMaxInflight(), 1u);
-  SetDefaultStreamMaxInflight(1 << 20);  // clamped down to 4096
-  EXPECT_EQ(DefaultStreamMaxInflight(), 4096u);
+  tune::StreamLatenessBound().Set(0);  // 0 is legal: nothing may be late
+  EXPECT_EQ(tune::StreamLatenessBound().Get(), 0u);
 
-  SetDefaultStreamLatenessBound(0);  // 0 is legal: nothing may be late
-  EXPECT_EQ(DefaultStreamLatenessBound(), 0u);
-
-  SetDefaultStreamBatchRows(rows_before);
-  SetDefaultStreamMaxInflight(inflight_before);
-  SetDefaultStreamLatenessBound(bound_before);
+  tune::Registry::Global().ResetAll();
 }
 
 TEST(MachineModelTest, SyncKnobDefaultsAndClamping) {
-  const uint32_t interval_before = DefaultEpochAdvanceInterval();
-  const uint32_t batch_before = DefaultEpochRetireBatch();
+  tune::ApplyMachine(MachineModel{});
+  EXPECT_EQ(tune::EpochAdvanceInterval().Get(), 64u);
+  EXPECT_EQ(tune::EpochRetireBatch().Get(), 128u);
 
-  MachineModel{}.ApplyAll();
-  EXPECT_EQ(DefaultEpochAdvanceInterval(), 64u);
-  EXPECT_EQ(DefaultEpochRetireBatch(), 128u);
+  tune::EpochAdvanceInterval().Set(0);  // clamped up to 1
+  EXPECT_EQ(tune::EpochAdvanceInterval().Get(), 1u);
+  tune::EpochAdvanceInterval().Set(~0u);  // clamped down to 1M
+  EXPECT_EQ(tune::EpochAdvanceInterval().Get(), 1u << 20);
+  tune::EpochAdvanceInterval().Set(256);
+  EXPECT_EQ(tune::EpochAdvanceInterval().Get(), 256u);
 
-  SetDefaultEpochAdvanceInterval(0);  // clamped up to 1
-  EXPECT_EQ(DefaultEpochAdvanceInterval(), 1u);
-  SetDefaultEpochAdvanceInterval(~0u);  // clamped down to 1M
-  EXPECT_EQ(DefaultEpochAdvanceInterval(), 1u << 20);
-  SetDefaultEpochAdvanceInterval(256);
-  EXPECT_EQ(DefaultEpochAdvanceInterval(), 256u);
+  tune::EpochRetireBatch().Set(0);  // clamped up to 1
+  EXPECT_EQ(tune::EpochRetireBatch().Get(), 1u);
+  tune::EpochRetireBatch().Set(~0u);  // clamped down to 1M
+  EXPECT_EQ(tune::EpochRetireBatch().Get(), 1u << 20);
 
-  SetDefaultEpochRetireBatch(0);  // clamped up to 1
-  EXPECT_EQ(DefaultEpochRetireBatch(), 1u);
-  SetDefaultEpochRetireBatch(~0u);  // clamped down to 1M
-  EXPECT_EQ(DefaultEpochRetireBatch(), 1u << 20);
+  // Applying a model puts the epoch knobs back: the model carries no
+  // opinion about them.
+  tune::ApplyMachine(MachineModel::ManyCore());
+  EXPECT_EQ(tune::EpochAdvanceInterval().Get(), 64u);
+  EXPECT_EQ(tune::EpochRetireBatch().Get(), 128u);
 
-  // ApplyAll publishes whatever the model carries.
-  MachineModel m;
-  m.epoch_advance_interval = 32;
-  m.epoch_retire_batch = 512;
-  m.ApplyAll();
-  EXPECT_EQ(DefaultEpochAdvanceInterval(), 32u);
-  EXPECT_EQ(DefaultEpochRetireBatch(), 512u);
-
-  SetDefaultEpochAdvanceInterval(interval_before);
-  SetDefaultEpochRetireBatch(batch_before);
+  tune::Registry::Global().ResetAll();
 }
 
 TEST(MachineModelTest, ApplyAllPublishesModelValues) {
-  const uint32_t rows_before = DefaultStreamBatchRows();
-  const uint32_t inflight_before = DefaultStreamMaxInflight();
-  const uint64_t bound_before = DefaultStreamLatenessBound();
+  // ManyCore has no shared level, so its AMAC gate is the last private
+  // cache; its hand-built ISA requests the AVX2 backend. The stream knobs
+  // stay at their spec defaults.
+  const MachineModel m = MachineModel::ManyCore();
+  tune::StreamBatchRows().Set(512);
+  tune::ApplyMachine(m);
+  EXPECT_EQ(tune::AmacMinTableBytes().Get(), m.caches.back().size_bytes);
+  EXPECT_EQ(tune::SimdBackend().Get(), 2u);
+  EXPECT_EQ(tune::StreamBatchRows().Get(), 4096u);
+  EXPECT_EQ(tune::StreamMaxInflight().Get(), 8u);
+  EXPECT_EQ(tune::StreamLatenessBound().Get(), 1024u);
 
-  // ManyCore trims the micro-batch: smaller per-core caches.
-  MachineModel m = MachineModel::ManyCore();
-  EXPECT_LT(m.stream_batch_rows, MachineModel{}.stream_batch_rows);
-  m.ApplyAll();
-  EXPECT_EQ(DefaultStreamBatchRows(), m.stream_batch_rows);
-  EXPECT_EQ(DefaultStreamMaxInflight(), m.stream_max_inflight);
-  EXPECT_EQ(DefaultStreamLatenessBound(), m.stream_lateness_bound);
-
-  SetDefaultStreamBatchRows(rows_before);
-  SetDefaultStreamMaxInflight(inflight_before);
-  SetDefaultStreamLatenessBound(bound_before);
+  tune::Registry::Global().ResetAll();
 }
 
 }  // namespace

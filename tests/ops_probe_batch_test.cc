@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "hwstar/common/random.h"
-#include "hwstar/hw/machine_model.h"
 #include "hwstar/kv/kv_store.h"
 #include "hwstar/ops/art.h"
 #include "hwstar/ops/bloom_filter.h"
@@ -22,6 +21,7 @@
 #include "hwstar/ops/concurrent_hash_table.h"
 #include "hwstar/ops/hash_table.h"
 #include "hwstar/ops/probe_kernels.h"
+#include "hwstar/tune/tunable.h"
 
 namespace hwstar::ops {
 namespace {
@@ -101,7 +101,7 @@ TEST(ProbeBatchTest, LinearProbeFindBatchMatchesScalarFind) {
 }
 
 TEST(ProbeBatchTest, ChainedFindBatchMatchesScalarFind) {
-  // Big enough to clear kAmacMinTableBytes, so the AMAC ring itself runs
+  // Big enough to clear the AMAC footprint gate, so the AMAC ring itself runs
   // (small tables take the gated scalar walk, covered below).
   Xoshiro256 rng(2);
   std::vector<uint64_t> keys(1 << 17);
@@ -110,7 +110,7 @@ TEST(ProbeBatchTest, ChainedFindBatchMatchesScalarFind) {
     k = rng.Next() >> 1;
     table.Insert(k, k ^ 0xabcdef);
   }
-  ASSERT_GE(table.MemoryBytes(), ChainedTable::kAmacMinTableBytes);
+  ASSERT_GE(table.MemoryBytes(), tune::AmacMinTableBytes().Get());
   for (size_t n : kBatchSizes) {
     CheckFindBatchIdentity(table, MakeProbeKeys(keys, n, rng));
   }
@@ -124,7 +124,7 @@ TEST(ProbeBatchTest, ChainedFindBatchGatedScalarOnSmallTable) {
     k = rng.Next() >> 1;
     table.Insert(k, k ^ 0xabcdef);
   }
-  ASSERT_LT(table.MemoryBytes(), ChainedTable::kAmacMinTableBytes);
+  ASSERT_LT(table.MemoryBytes(), tune::AmacMinTableBytes().Get());
   for (size_t n : kBatchSizes) {
     CheckFindBatchIdentity(table, MakeProbeKeys(keys, n, rng));
   }
@@ -220,7 +220,7 @@ TEST(ProbeBatchTest, LinearProbeBatchMatchesScalarProbeInOrder) {
 
 TEST(ProbeBatchTest, ChainedProbeBatchMatchesScalarProbeAsMultiset) {
   // AMAC completes keys out of order, so compare (i, value) multisets.
-  // Sized past kAmacMinTableBytes so the ring actually runs.
+  // Sized past the AMAC footprint gate so the ring actually runs.
   Xoshiro256 rng(7);
   std::vector<uint64_t> keys(1 << 17);
   ChainedTable table(keys.size());
@@ -229,7 +229,7 @@ TEST(ProbeBatchTest, ChainedProbeBatchMatchesScalarProbeAsMultiset) {
     table.Insert(k, k);
     if (rng.NextBounded(4) == 0) table.Insert(k, k + 1);
   }
-  ASSERT_GE(table.MemoryBytes(), ChainedTable::kAmacMinTableBytes);
+  ASSERT_GE(table.MemoryBytes(), tune::AmacMinTableBytes().Get());
   const auto probes = MakeProbeKeys(keys, 777, rng);
   std::vector<std::pair<size_t, uint64_t>> want, got;
   uint64_t want_matches = 0;
@@ -314,22 +314,21 @@ TEST(ProbeBatchTest, KvStoreMultiGetMatchesScalarGet) {
 }
 
 TEST(ProbeKernelsTest, DefaultGroupSizeRoundTripsAndClamps) {
-  const uint32_t before = hw::DefaultProbeGroupSize();
-  hw::SetDefaultProbeGroupSize(8);
-  EXPECT_EQ(hw::DefaultProbeGroupSize(), 8u);
+  tune::Tunable& group = tune::ProbeGroupSize();
+  const uint64_t before = group.Get();
+  group.Set(8);
+  EXPECT_EQ(group.Get(), 8u);
   // The registry's central clamp: power of two in [4, 32] (the compiled
   // kernel widths), whatever path the value arrives by.
-  hw::SetDefaultProbeGroupSize(0);  // clamped up to 4
-  EXPECT_EQ(hw::DefaultProbeGroupSize(), 4u);
-  hw::SetDefaultProbeGroupSize(1000);  // clamped down to 32
-  EXPECT_EQ(hw::DefaultProbeGroupSize(), 32u);
-  hw::SetDefaultProbeGroupSize(5);  // rounded up to the next power of two
-  EXPECT_EQ(hw::DefaultProbeGroupSize(), 8u);
-  hw::MachineModel model = hw::MachineModel::Desktop();
-  model.probe_group_size = 16;
-  model.ApplyAll();
-  EXPECT_EQ(hw::DefaultProbeGroupSize(), 16u);
-  hw::SetDefaultProbeGroupSize(before);
+  group.Set(0);  // clamped up to 4
+  EXPECT_EQ(group.Get(), 4u);
+  group.Set(1000);  // clamped down to 32
+  EXPECT_EQ(group.Get(), 32u);
+  group.Set(5);  // rounded up to the next power of two
+  EXPECT_EQ(group.Get(), 8u);
+  EXPECT_TRUE(tune::Registry::Global().Set("probe.group_size", 16));
+  EXPECT_EQ(group.Get(), 16u);
+  group.Set(before);
 }
 
 TEST(ProbeKernelsTest, WithProbeGroupRoundsToCompiledSizes) {

@@ -1,39 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "hwstar/perf/counters.h"
-#include "hwstar/perf/harness.h"
 #include "hwstar/perf/report.h"
 
 namespace hwstar::perf {
 namespace {
-
-TEST(CounterSetTest, SetAddGet) {
-  CounterSet c;
-  c.Set("time", 1.5);
-  c.Add("time", 0.5);
-  EXPECT_DOUBLE_EQ(c.Get("time"), 2.0);
-  EXPECT_DOUBLE_EQ(c.Get("missing"), 0.0);
-  EXPECT_TRUE(c.Has("time"));
-  EXPECT_FALSE(c.Has("missing"));
-}
-
-TEST(CounterSetTest, MergeSums) {
-  CounterSet a, b;
-  a.Set("x", 1);
-  b.Set("x", 2);
-  b.Set("y", 3);
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.Get("x"), 3.0);
-  EXPECT_DOUBLE_EQ(a.Get("y"), 3.0);
-}
-
-TEST(DerivedMetricsTest, Formulas) {
-  EXPECT_DOUBLE_EQ(TuplesPerSecond(1000, 2.0), 500.0);
-  EXPECT_DOUBLE_EQ(TuplesPerSecond(1000, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(BytesPerSecond(4096, 2.0), 2048.0);
-  EXPECT_DOUBLE_EQ(NanosPerTuple(1.0, 1000000000), 1.0);
-  EXPECT_DOUBLE_EQ(NanosPerTuple(1.0, 0), 0.0);
-}
 
 TEST(ReportTableTest, RendersAlignedColumns) {
   ReportTable table("demo", {"name", "value"});
@@ -64,32 +34,6 @@ TEST(ReportTableTest, CsvExport) {
             "plain,1\n"
             "\"with,comma\",2\n"
             "\"with\"\"quote\",3\n");
-}
-
-TEST(MeasureRepeatedTest, OrderedStatistics) {
-  int calls = 0;
-  Measurement m = MeasureRepeated([&calls] { ++calls; }, 5, 2);
-  EXPECT_EQ(calls, 7);  // 2 warmups + 5 measured
-  EXPECT_EQ(m.repetitions, 5u);
-  EXPECT_LE(m.min_seconds, m.median_seconds);
-  EXPECT_LE(m.median_seconds, m.max_seconds);
-}
-
-TEST(ExperimentTest, CollectsRowsAndPrints) {
-  Experiment exp("test-exp");
-  CounterSet c;
-  c.Set("seconds", 0.25);
-  c.Set("mtps", 100);
-  exp.AddRow("config-a", c);
-  exp.AddRow("config-b", c);
-  EXPECT_EQ(exp.rows().size(), 2u);
-  EXPECT_EQ(exp.name(), "test-exp");
-  // Printing must not crash and must include the configs.
-  testing::internal::CaptureStdout();
-  exp.PrintTable({"seconds", "mtps"});
-  std::string out = testing::internal::GetCapturedStdout();
-  EXPECT_NE(out.find("config-a"), std::string::npos);
-  EXPECT_NE(out.find("0.250"), std::string::npos);
 }
 
 }  // namespace

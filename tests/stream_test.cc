@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "hwstar/exec/executor.h"
-#include "hwstar/hw/machine_model.h"
 #include "hwstar/obs/registry.h"
 #include "hwstar/stream/join.h"
 #include "hwstar/stream/pipeline.h"
@@ -26,6 +25,7 @@
 #include "hwstar/stream/stream_batch.h"
 #include "hwstar/stream/watermark.h"
 #include "hwstar/stream/window.h"
+#include "hwstar/tune/tunable.h"
 
 namespace hwstar::stream {
 namespace {
@@ -735,10 +735,10 @@ TEST(PipelineTest, MetricsScrapeUnderLoad) {
 }
 
 // ---------------------------------------------------------------------------
-// Builder knob resolution against the hw defaults.
+// Zero pipeline options resolve against the tune defaults.
 
 TEST(PipelineBuilderTest, ZeroOptionsResolveToHwDefaults) {
-  hw::MachineModel{}.ApplyAll();  // reset process knobs
+  tune::Registry::Global().ResetAll();  // reset process knobs
   exec::Executor executor(2);
   StreamBatch b = MakeBatch({{1, 1, 1}}, 0);
   VectorSource source({b});

@@ -7,13 +7,13 @@
 #include <vector>
 
 #include "hwstar/common/random.h"
-#include "hwstar/hw/machine_model.h"
 #include "hwstar/kv/kv_store.h"
 #include "hwstar/ops/art.h"
 #include "hwstar/ops/btree.h"
 #include "hwstar/ops/hash_table.h"
 #include "hwstar/sync/epoch.h"
 #include "hwstar/sync/optlock.h"
+#include "hwstar/tune/tunable.h"
 
 namespace hwstar::sync {
 namespace {
@@ -209,10 +209,8 @@ TEST(EpochTest, AdvanceSucceedsWithCurrentEpochPin) {
 // final reclaim must free every last object. Run under ASan this is the
 // use-after-free canary for the whole epoch machinery.
 TEST(EpochTortureTest, BoundedRetireListsAndFullReclaim) {
-  const uint32_t saved_interval = hw::DefaultEpochAdvanceInterval();
-  const uint32_t saved_batch = hw::DefaultEpochRetireBatch();
-  hw::SetDefaultEpochAdvanceInterval(8);
-  hw::SetDefaultEpochRetireBatch(32);
+  tune::EpochAdvanceInterval().Set(8);
+  tune::EpochRetireBatch().Set(32);
 
   {
     EpochManager mgr;
@@ -246,8 +244,7 @@ TEST(EpochTortureTest, BoundedRetireListsAndFullReclaim) {
     EXPECT_GT(mgr.stats().advances, 0u);
   }
 
-  hw::SetDefaultEpochAdvanceInterval(saved_interval);
-  hw::SetDefaultEpochRetireBatch(saved_batch);
+  tune::Registry::Global().ResetAll();
 }
 
 // Use-after-retire canary on a raw published pointer: readers chase an

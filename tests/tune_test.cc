@@ -1,5 +1,5 @@
 // Tests for hwstar::tune: the tunable registry (central clamping, the
-// knob accessors, ApplyAll publication), the concurrency contract
+// core knobs' specs, ApplyMachine's derivation), the concurrency contract
 // (relaxed Set/Get from many threads, knob flips under running kernels
 // staying bit-identical), the Calibrator's terminate-and-install-in-
 // bounds guarantee, and the Controller's bounded nudges.
@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "hwstar/exec/morsel.h"
+#include "hwstar/exec/executor.h"
 #include "hwstar/hw/machine_model.h"
 #include "hwstar/hw/topology.h"
 #include "hwstar/kv/kv_store.h"
@@ -112,27 +112,100 @@ TEST_F(TuneTest, DumpTextListsEveryKnob) {
   }
 }
 
+TEST_F(TuneTest, CoreKnobSpecsBoundsAndClamps) {
+  struct Row {
+    Tunable& knob;
+    const char* name;
+    uint64_t def, min, max;
+    bool pow2;
+  };
+  const Row rows[] = {
+      {ProbeGroupSize(), "probe.group_size", 16, 4, 32, true},
+      {AmacRingWidth(), "probe.amac_ring", 16, 4, 32, true},
+      {AmacMinTableBytes(), "probe.amac_min_table_bytes", 2u << 20,
+       64u << 10, 1u << 30, false},
+      {StreamBatchRows(), "stream.batch_rows", 4096, 64, 1u << 20, false},
+      {StreamMaxInflight(), "stream.max_inflight", 8, 1, 4096, false},
+      {StreamLatenessBound(), "stream.lateness_bound", 1024, 0,
+       ~uint64_t{0}, false},
+      {EpochAdvanceInterval(), "epoch.advance_interval", 64, 1, 1u << 20,
+       false},
+      {EpochRetireBatch(), "epoch.retire_batch", 128, 1, 1u << 20, false},
+      {MorselRows(), "exec.morsel_rows", 1u << 16, 1u << 10, 1u << 24,
+       false},
+      {SimdBackend(), "simd.backend", 2, 0, 2, false},
+  };
+  for (const Row& r : rows) {
+    SCOPED_TRACE(r.name);
+    const TunableSpec& spec = r.knob.spec();
+    EXPECT_EQ(spec.name, r.name);
+    EXPECT_EQ(spec.default_value, r.def);
+    EXPECT_EQ(spec.min, r.min);
+    EXPECT_EQ(spec.max, r.max);
+    EXPECT_EQ(spec.power_of_two, r.pow2);
+    EXPECT_EQ(Registry::Global().Find(r.name), &r.knob);
+    EXPECT_EQ(r.knob.Get(), r.def);
+    // Each bound is legal and round-trips; one step past it clamps.
+    EXPECT_EQ(r.knob.Set(r.min), r.min);
+    EXPECT_EQ(r.knob.Set(0), r.min);
+    if (r.min > 0) {
+      EXPECT_EQ(r.knob.Set(r.min - 1), r.min);
+    }
+    EXPECT_EQ(r.knob.Set(r.max), r.max);
+    if (r.max < ~uint64_t{0}) {
+      EXPECT_EQ(r.knob.Set(r.max + 1), r.max);
+    }
+    EXPECT_EQ(r.knob.Set(~uint64_t{0}), r.max);
+    EXPECT_EQ(r.knob.Get(), r.max);
+    EXPECT_EQ(r.knob.Reset(), r.def);
+  }
+  // The probe widths round up to the next compiled width.
+  for (Tunable* t : {&ProbeGroupSize(), &AmacRingWidth()}) {
+    EXPECT_EQ(t->Set(5), 8u);
+    EXPECT_EQ(t->Set(9), 16u);
+    EXPECT_EQ(t->Set(17), 32u);
+  }
+}
+
 TEST_F(TuneTest, ApplyAllPublishesEveryField) {
-  hw::MachineModel m;
-  m.probe_group_size = 8;
-  m.amac_ring_width = 4;
-  m.amac_min_table_bytes = 1u << 20;
-  m.stream_batch_rows = 512;
-  m.stream_max_inflight = 3;
-  m.stream_lateness_bound = 77;
-  m.epoch_advance_interval = 16;
-  m.epoch_retire_batch = 32;
-  m.morsel_rows = 1u << 12;
-  m.ApplyAll();
-  EXPECT_EQ(hw::DefaultProbeGroupSize(), 8u);
-  EXPECT_EQ(hw::DefaultAmacRingWidth(), 4u);
-  EXPECT_EQ(hw::DefaultAmacMinTableBytes(), 1u << 20);
-  EXPECT_EQ(hw::DefaultStreamBatchRows(), 512u);
-  EXPECT_EQ(hw::DefaultStreamMaxInflight(), 3u);
-  EXPECT_EQ(hw::DefaultStreamLatenessBound(), 77u);
-  EXPECT_EQ(hw::DefaultEpochAdvanceInterval(), 16u);
-  EXPECT_EQ(hw::DefaultEpochRetireBatch(), 32u);
-  EXPECT_EQ(exec::DefaultMorselRows(), 1u << 12);
+  // ApplyMachine publishes a whole model: every core knob goes back to its
+  // spec default, then the model's caches and ISA set the two derived ones.
+  Tunable* const knobs[] = {
+      &ProbeGroupSize(),       &AmacRingWidth(),    &AmacMinTableBytes(),
+      &StreamBatchRows(),      &StreamMaxInflight(), &StreamLatenessBound(),
+      &EpochAdvanceInterval(), &EpochRetireBatch(), &MorselRows(),
+      &SimdBackend()};
+  for (Tunable* t : knobs) t->Set(t->spec().min);
+  hw::MachineModel m = hw::MachineModel::Server2013();
+  ApplyMachine(m);
+  for (Tunable* t : knobs) {
+    SCOPED_TRACE(t->spec().name);
+    if (t == &AmacMinTableBytes() || t == &SimdBackend()) continue;
+    EXPECT_EQ(t->Get(), t->spec().default_value);
+  }
+  EXPECT_EQ(AmacMinTableBytes().Get(),
+            m.caches.back().size_bytes / m.cores);
+
+  // A model that lists no caches leaves the gate at its spec default.
+  m.caches.clear();
+  ApplyMachine(m);
+  EXPECT_EQ(AmacMinTableBytes().Get(),
+            AmacMinTableBytes().spec().default_value);
+
+  // simd.backend is the best backend the model's ISA supports.
+  EXPECT_EQ(SimdBackend().Get(), 2u);  // hand-built models claim AVX2
+  m.isa = {};
+  m.isa.sse42 = true;
+  ApplyMachine(m);
+  EXPECT_EQ(SimdBackend().Get(), 1u);
+  m.isa = {};
+  ApplyMachine(m);
+  EXPECT_EQ(SimdBackend().Get(), 0u);
+  hw::CpuTopology topo;
+  topo.logical_cores = 4;
+  topo.isa.avx2 = true;
+  ApplyMachine(hw::MachineModel::FromHost(topo));
+  EXPECT_EQ(SimdBackend().Get(), 2u);
 }
 
 TEST_F(TuneTest, FromHostDerivesAmacGateFromCaches) {
@@ -142,21 +215,25 @@ TEST_F(TuneTest, FromHostDerivesAmacGateFromCaches) {
   topo.caches = {{1, "Data", 32u << 10, 64, 8, false},
                  {2, "Unified", 256u << 10, 64, 8, false},
                  {3, "Unified", 16u << 20, 64, 16, true}};
-  hw::MachineModel m = hw::MachineModel::FromHost(topo);
-  EXPECT_EQ(m.amac_min_table_bytes, (16u << 20) / 8);
+  ApplyMachine(hw::MachineModel::FromHost(topo));
+  EXPECT_EQ(AmacMinTableBytes().Get(), (16u << 20) / 8);
 
-  // No shared level: the last private level is the gate (clamped up to
-  // the knob's 64KB floor when the cache is smaller than that).
+  // No shared level: the last private level is the gate.
   topo.caches = {{1, "Data", 32u << 10, 64, 8, false},
                  {2, "Unified", 512u << 10, 64, 8, false}};
-  m = hw::MachineModel::FromHost(topo);
-  EXPECT_EQ(m.amac_min_table_bytes, 512u << 10);
+  ApplyMachine(hw::MachineModel::FromHost(topo));
+  EXPECT_EQ(AmacMinTableBytes().Get(), 512u << 10);
+
+  // A level under the knob's 64KB floor clamps up to it.
+  topo.caches = {{1, "Data", 32u << 10, 64, 8, false}};
+  ApplyMachine(hw::MachineModel::FromHost(topo));
+  EXPECT_EQ(AmacMinTableBytes().Get(), 64u << 10);
 
   // No cache info at all: FromHost keeps Server2013's hierarchy, so the
   // gate is the per-core share of its 20MB shared LLC.
   topo.caches.clear();
-  m = hw::MachineModel::FromHost(topo);
-  EXPECT_EQ(m.amac_min_table_bytes, (20u << 20) / 8);
+  ApplyMachine(hw::MachineModel::FromHost(topo));
+  EXPECT_EQ(AmacMinTableBytes().Get(), (20u << 20) / 8);
 }
 
 // --- Concurrency: the sanitize-label substance -------------------------
@@ -239,9 +316,9 @@ TEST_F(TuneTest, GroupWidthFlipMidRunIsBitIdentical) {
     const uint64_t gates[] = {64u << 10, 1u << 30};  // ring-on / ring-off
     uint32_t i = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      hw::SetDefaultProbeGroupSize(widths[i % 4]);
-      hw::SetDefaultAmacRingWidth(widths[(i + 1) % 4]);
-      hw::SetDefaultAmacMinTableBytes(gates[i % 2]);
+      ProbeGroupSize().Set(widths[i % 4]);
+      AmacRingWidth().Set(widths[(i + 1) % 4]);
+      AmacMinTableBytes().Set(gates[i % 2]);
       ++i;
       std::this_thread::yield();
     }
@@ -442,8 +519,8 @@ TEST_F(TuneTest, ServiceDumpsTunablesAndAppliesConfigHook) {
   kv::KvStore kv;
   svc::Service service(options, &kv);
   // The config hook applied (through the central clamp).
-  EXPECT_EQ(hw::DefaultStreamBatchRows(), 512u);
-  EXPECT_EQ(hw::DefaultProbeGroupSize(), 8u);
+  EXPECT_EQ(StreamBatchRows().Get(), 512u);
+  EXPECT_EQ(ProbeGroupSize().Get(), 8u);
   // Metrics dump carries the knob lines next to the metric lines.
   const std::string dump = service.DumpMetricsText();
   EXPECT_NE(dump.find("svc.completed"), std::string::npos);
