@@ -130,15 +130,26 @@ Result<uint64_t> LogWriter::Append(WalRecord record) {
   });
   if (!poisoned_.ok()) return poisoned_;
 
-  if (active_.used == 0) first_pending_nanos_ = NowNanos();
+  const bool was_empty = active_.used == 0;
+  const bool was_below_half = active_.used * 2 < options_.buffer_bytes;
+  if (was_empty) first_pending_nanos_ = NowNanos();
   std::memcpy(active_.data.get() + active_.used, scratch.data(),
               scratch.size());
   active_.used += scratch.size();
   active_.last_lsn = lsn;
   ++active_.records;
   stat_records_.fetch_add(1, kRelaxed);
+  // Wake the syncer only on the edges its waits test: work appeared, the
+  // buffer reached half full, or the record count reached fsync_every_n.
+  // Any other append would wake a lingering syncer just to find its
+  // predicate still false.
+  const bool wake =
+      was_empty ||
+      (was_below_half && active_.used * 2 >= options_.buffer_bytes) ||
+      (options_.fsync_every_n != 0 &&
+       active_.records == options_.fsync_every_n);
   lock.unlock();
-  work_cv_.notify_one();
+  if (wake) work_cv_.notify_one();
   return lsn;
 }
 

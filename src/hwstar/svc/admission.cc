@@ -9,6 +9,8 @@ AdmissionQueue::AdmissionQueue(AdmissionOptions options)
 
 Status AdmissionQueue::TryAdmit(TicketPtr& ticket, Priority min_priority) {
   const Request& req = ticket->request;
+  bool wake_idle = false;
+  bool wake_lingering = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.submitted;
@@ -49,40 +51,85 @@ Status AdmissionQueue::TryAdmit(TicketPtr& ticket, Priority min_priority) {
     ++depth_;
     ++tenant_depth_[req.tenant];
     queued_bytes_ += ticket->estimated_bytes;
-    queues_[static_cast<uint8_t>(req.priority)].push_back(std::move(ticket));
+    auto& q = queues_[static_cast<uint8_t>(req.priority)];
+    q.push_back(std::move(ticket));
+    if (lingerer_ != nullptr && lingerer_->Claims(*q.back())) {
+      ++claimed_;  // the lingering pop takes it when its window ends
+    } else {
+      wake_idle = idle_poppers_ > 0;
+    }
+    wake_lingering = lingerer_ != nullptr && depth_ >= linger_until_depth_;
   }
-  cv_.notify_one();
+  if (wake_idle) idle_cv_.notify_one();
+  if (wake_lingering) linger_cv_.notify_one();
   return Status::OK();
 }
 
-bool AdmissionQueue::PopBatch(std::vector<TicketPtr>* out, uint32_t max,
-                              uint64_t batch_window_nanos) {
+bool AdmissionQueue::PopGroup(std::vector<TicketPtr>* out,
+                              TicketSelector* selector, uint32_t scan,
+                              uint64_t linger_nanos) {
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] { return depth_ > 0 || closed_; });
-  if (depth_ == 0) return false;  // closed and drained
-  if (batch_window_nanos > 0 && depth_ < max && !closed_) {
-    // Linger briefly for batch-mates; bail as soon as the batch is full.
-    cv_.wait_for(lock, std::chrono::nanoseconds(batch_window_nanos),
-                 [this, max] { return depth_ >= max || closed_; });
+  ++idle_poppers_;
+  idle_cv_.wait(lock, [this] { return depth_ > claimed_ || closed_; });
+  --idle_poppers_;
+  // Closed, and whatever is still queued belongs to the lingering pop.
+  if (depth_ == claimed_) return false;
+  TakeLocked(selector, scan, out);
+  // One linger at a time, like a single batching thread: while one popper
+  // gathers mates, the others execute what they took at once instead of
+  // each paying a timed sleep for the same arrivals.
+  if (linger_nanos > 0 && lingerer_ == nullptr && selector->Room() &&
+      !closed_) {
+    lingerer_ = selector;
+    linger_until_depth_ = scan;
+    linger_cv_.wait_for(lock, std::chrono::nanoseconds(linger_nanos),
+                        [this, scan] { return depth_ >= scan || closed_; });
+    TakeLocked(selector, scan, out);
+    lingerer_ = nullptr;
+    // Claimed tickets left past the scan are anyone's now: wake takers.
+    const bool released = claimed_ > 0 && depth_ > 0;
+    claimed_ = 0;
+    lock.unlock();
+    if (released) idle_cv_.notify_all();
   }
-  // Highest priority first, FIFO within each priority.
-  for (int p = kNumPriorities - 1; p >= 0 && out->size() < max; --p) {
+  return true;
+}
+
+void AdmissionQueue::TakeLocked(TicketSelector* selector, uint32_t scan,
+                                std::vector<TicketPtr>* out) {
+  // Highest priority first, FIFO within each priority. Taken tickets leave
+  // holes that the kept ones close up, in order, before one erase.
+  uint32_t offered = 0;
+  for (int p = kNumPriorities - 1; p >= 0; --p) {
     auto& q = queues_[p];
-    while (!q.empty() && out->size() < max) {
-      TicketPtr t = std::move(q.front());
-      q.pop_front();
+    size_t kept = 0;
+    size_t i = 0;
+    for (; i < q.size() && offered < scan && selector->Open(); ++i) {
+      // Tickets the lingering pop claims are not offered to other pops.
+      bool take = false;
+      if (claimed_ == 0 || selector == lingerer_ ||
+          !lingerer_->Claims(*q[i])) {
+        ++offered;
+        take = selector->Take(*q[i]);
+      }
+      if (!take) {
+        if (kept != i) q[kept] = std::move(q[i]);
+        ++kept;
+        continue;
+      }
       --depth_;
-      auto td = tenant_depth_.find(t->request.tenant);
+      auto td = tenant_depth_.find(q[i]->request.tenant);
       if (td != tenant_depth_.end() && --td->second == 0) {
         // Erase drained tenants: leaving zero-count entries behind grows
         // the map without bound under tenant churn.
         tenant_depth_.erase(td);
       }
-      queued_bytes_ -= t->estimated_bytes;
-      out->push_back(std::move(t));
+      queued_bytes_ -= q[i]->estimated_bytes;
+      out->push_back(std::move(q[i]));
     }
+    q.erase(q.begin() + static_cast<std::ptrdiff_t>(kept),
+            q.begin() + static_cast<std::ptrdiff_t>(i));
   }
-  return true;
 }
 
 void AdmissionQueue::Close() {
@@ -90,7 +137,8 @@ void AdmissionQueue::Close() {
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
   }
-  cv_.notify_all();
+  idle_cv_.notify_all();
+  linger_cv_.notify_all();
 }
 
 void AdmissionQueue::NoteExpired(uint64_t n) {

@@ -51,19 +51,40 @@ struct AdmissionStats {
 struct Ticket {
   Request request;
   uint64_t submit_nanos = 0;     ///< stamped by Service::Submit
-  uint64_t admit_nanos = 0;      ///< stamped when the dispatcher pops it
+  uint64_t admit_nanos = 0;      ///< stamped when a worker pops it
   uint64_t estimated_bytes = 0;  ///< EstimatedRequestBytes at submit
   std::promise<Response> promise;
 };
 
 using TicketPtr = std::unique_ptr<Ticket>;
 
+/// Chooses which queued tickets one pop takes (svc::GroupSelector applies
+/// the Batcher's rules). Tickets are offered in pop order — highest
+/// priority first, FIFO within a priority — and the first one offered to
+/// a fresh selector heads the group.
+class TicketSelector {
+ public:
+  virtual ~TicketSelector() = default;
+  /// True to move `ticket` out of the queue into the group.
+  virtual bool Take(const Ticket& ticket) = 0;
+  /// True while a later ticket could still be taken: a pop stops scanning
+  /// once this turns false.
+  virtual bool Open() const = 0;
+  /// True while the group has room for more batch-mates: a pop lingers
+  /// only then.
+  virtual bool Room() const { return Open(); }
+  /// True if `ticket` must join this group and no other (a later write to
+  /// a key the group writes). While this selector's pop lingers, other
+  /// pops leave such tickets queued for it.
+  virtual bool Claims(const Ticket&) const { return false; }
+};
+
 /// A bounded, priority-ordered MPMC admission queue: the "never
 /// unbounded growth" discipline of McKenney's bounded shared queues.
 /// Producers (client threads) call TryAdmit and are rejected — never
-/// blocked — when a bound would be exceeded; the consumer (dispatcher)
-/// pops batches, highest priority first, FIFO within a priority.
-/// Thread-safe.
+/// blocked — when a bound would be exceeded; consumers (the service's
+/// workers) pop one group each, highest priority first, FIFO within a
+/// priority. Thread-safe.
 class AdmissionQueue {
  public:
   explicit AdmissionQueue(AdmissionOptions options);
@@ -75,18 +96,26 @@ class AdmissionQueue {
   /// `min_priority` is the overload policy's current admission floor.
   Status TryAdmit(TicketPtr& ticket, Priority min_priority = Priority::kLow);
 
-  /// Pops up to `max` tickets into `out`, blocking until at least one is
-  /// available or Close() was called. When fewer than `max` are queued and
-  /// `batch_window_nanos` > 0, lingers up to that long for more arrivals
-  /// so per-batch fixed costs amortize over fuller batches.
-  /// Returns false only when closed and drained.
-  bool PopBatch(std::vector<TicketPtr>* out, uint32_t max,
-                uint64_t batch_window_nanos = 0);
+  /// Pops one group into `out`, blocking until a ticket is queued or
+  /// Close() was called. The queue offers its first `scan` tickets to
+  /// `selector` (which takes the head) and moves out the ones it takes.
+  /// While the selector has Room, `linger_nanos` > 0 and no other pop is
+  /// lingering, the pop then lingers up to that long — ended early by
+  /// Close() or by `scan` tickets queueing up — and offers the queue once
+  /// more, so per-batch fixed costs amortize over fuller batches. Idle and
+  /// lingering poppers wait on separate conditions: an arrival wakes an
+  /// idle popper, never the lingering one, so work that cannot join the
+  /// lingering group is not left waiting out the window. An arrival the
+  /// lingering selector Claims is left to it, so a later write to a key
+  /// the group holds cannot overtake the group's earlier one.
+  /// Returns false once closed and nothing is left for this pop.
+  bool PopGroup(std::vector<TicketPtr>* out, TicketSelector* selector,
+                uint32_t scan, uint64_t linger_nanos);
 
   /// Wakes poppers; subsequent TryAdmit calls are rejected.
   void Close();
 
-  /// Counts a request that expired after admission (dispatcher-side).
+  /// Counts a request that expired after admission (worker-side).
   void NoteExpired(uint64_t n);
 
   uint32_t depth() const;
@@ -102,8 +131,20 @@ class AdmissionQueue {
  private:
   AdmissionOptions options_;
 
+  /// Offers the first `scan` queued tickets — skipping those the lingering
+  /// pop claims, unless `selector` is that pop's — to `selector` and moves
+  /// the taken ones into `out`; the rest keep their order. Holds mutex_.
+  void TakeLocked(TicketSelector* selector, uint32_t scan,
+                  std::vector<TicketPtr>* out);
+
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable idle_cv_;    ///< poppers waiting for any ticket
+  std::condition_variable linger_cv_;  ///< the popper lingering for mates
+  uint32_t idle_poppers_ = 0;
+  TicketSelector* lingerer_ = nullptr;  ///< the lingering pop's selector
+  uint32_t claimed_ = 0;  ///< queued tickets lingerer_ Claims
+  /// Depth that cuts the linger short (the lingering pop's `scan`).
+  uint32_t linger_until_depth_ = 0;
   /// One FIFO per priority; index = static_cast<uint8_t>(Priority).
   std::array<std::deque<TicketPtr>, kNumPriorities> queues_;
   std::unordered_map<uint32_t, uint32_t> tenant_depth_;

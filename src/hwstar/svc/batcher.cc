@@ -1,6 +1,7 @@
 #include "hwstar/svc/batcher.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 
 #include "hwstar/common/bits.h"
@@ -15,120 +16,131 @@ Batcher::Batcher(BatcherOptions options) : options_(options) {
 
 namespace {
 
-/// The key a write-type ticket (kPut or kDelete) operates on.
-uint64_t WriteKey(const TicketPtr& t) {
-  return t->request.type == RequestType::kPut ? t->request.put.key
-                                              : t->request.del.key;
+/// The batch type a request groups under: deletes share the write batch
+/// (a put and a delete on the same key are an ordered pair exactly like
+/// two puts, so they must flow through the same stable sort and
+/// never-split rule).
+RequestType BatchKind(RequestType type) {
+  return type == RequestType::kDelete ? RequestType::kPut : type;
+}
+
+/// Scans, joins and transactions stay singletons: already coarse-grained
+/// work, and a transaction serializes itself via validation, not batch
+/// placement.
+bool Batchable(RequestType kind) {
+  return kind == RequestType::kPointGet || kind == RequestType::kPut ||
+         kind == RequestType::kAggregate;
+}
+
+/// The key a point-get or write operates on.
+uint64_t KeyOf(const Request& r) {
+  switch (r.type) {
+    case RequestType::kPointGet:
+      return r.get.key;
+    case RequestType::kDelete:
+      return r.del.key;
+    default:
+      return r.put.key;
+  }
+}
+
+/// Which batch of its kind a request may join: its kv shard, or for an
+/// aggregate its target store.
+uintptr_t BatchId(const Batcher& batcher, const Request& r) {
+  return r.type == RequestType::kAggregate
+             ? reinterpret_cast<uintptr_t>(r.agg.store)
+             : batcher.ShardOf(KeyOf(r));
 }
 
 }  // namespace
 
 std::vector<Batch> Batcher::Group(std::vector<TicketPtr> tickets) const {
   std::vector<Batch> batches;
-  // Point-gets and writes (puts + deletes) keyed by shard; aggregates
-  // keyed by target store.
-  std::map<uint32_t, std::vector<TicketPtr>> gets_by_shard;
-  std::map<uint32_t, std::vector<TicketPtr>> writes_by_shard;
-  std::map<const storage::ColumnStore*, std::vector<TicketPtr>> aggs_by_store;
-
+  std::map<std::pair<RequestType, uintptr_t>, std::vector<TicketPtr>> groups;
   for (auto& t : tickets) {
-    switch (t->request.type) {
-      case RequestType::kPointGet:
-        gets_by_shard[ShardOf(t->request.get.key)].push_back(std::move(t));
-        break;
-      case RequestType::kPut:
-      case RequestType::kDelete:
-        // One group for BOTH write types: a put and a delete on the same
-        // key are an ordered pair exactly like two puts, so they must
-        // flow through the same stable sort and never-split rule below.
-        writes_by_shard[ShardOf(WriteKey(t))].push_back(std::move(t));
-        break;
-      case RequestType::kAggregate:
-        aggs_by_store[t->request.agg.store].push_back(std::move(t));
-        break;
-      case RequestType::kScan:
-      case RequestType::kJoin:
-      case RequestType::kTxn: {
-        Batch b;
-        b.type = t->request.type;
-        b.tickets.push_back(std::move(t));
-        batches.push_back(std::move(b));
-        break;
-      }
+    const RequestType kind = BatchKind(t->request.type);
+    if (Batchable(kind)) {
+      groups[{kind, BatchId(*this, t->request)}].push_back(std::move(t));
+    } else {
+      batches.emplace_back().type = kind;
+      batches.back().tickets.push_back(std::move(t));
     }
   }
 
-  for (auto& [shard, group] : gets_by_shard) {
-    // Ascending key order inside the shard: the MultiGet run walks the
-    // index with monotone keys (locality in trie/tree nodes).
-    std::sort(group.begin(), group.end(),
-              [](const TicketPtr& a, const TicketPtr& b) {
-                return a->request.get.key < b->request.get.key;
-              });
-    for (size_t begin = 0; begin < group.size();
-         begin += options_.max_batch) {
-      const size_t end =
-          std::min(group.size(), begin + options_.max_batch);
-      Batch b;
-      b.type = RequestType::kPointGet;
-      b.shard = shard;
-      b.tickets.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        b.tickets.push_back(std::move(group[i]));
-      }
-      batches.push_back(std::move(b));
+  for (auto& [id, group] : groups) {
+    const RequestType kind = id.first;
+    if (kind != RequestType::kAggregate) {
+      // Ascending key order inside the shard: a MultiGet run walks the
+      // index with monotone keys (locality in trie/tree nodes), a write
+      // run takes one WAL shard mutex. STABLE: two writes to the same key
+      // — put/put, put/delete, any mix — must apply in submission order,
+      // or batching would change which state wins.
+      std::stable_sort(group.begin(), group.end(),
+                       [](const TicketPtr& a, const TicketPtr& b) {
+                         return KeyOf(a->request) < KeyOf(b->request);
+                       });
     }
-  }
-
-  for (auto& [shard, group] : writes_by_shard) {
-    // Sorted like gets (locality + one WAL shard mutex per run), but
-    // STABLE: two writes to the same key — put/put, put/delete, any mix —
-    // must apply in submission order, or batching would change which
-    // state wins.
-    std::stable_sort(group.begin(), group.end(),
-                     [](const TicketPtr& a, const TicketPtr& b) {
-                       return WriteKey(a) < WriteKey(b);
-                     });
     for (size_t begin = 0; begin < group.size();) {
       size_t end = std::min(group.size(), begin + options_.max_batch);
-      // Never split a run of equal keys across batches: batches for the
-      // same shard may execute concurrently on different pool workers, so
-      // a split run could apply the later-submitted write first — exactly
-      // the reordering the stable sort exists to prevent. The rule covers
-      // ALL write ops on the key, not just puts: a put+delete pair split
-      // across batches could resurrect a deleted key.
-      while (end < group.size() &&
-             WriteKey(group[end]) == WriteKey(group[end - 1])) {
+      // Never split a run of equal keys across write batches: batches for
+      // the same shard may execute concurrently on different svc workers,
+      // so a split run could apply the later-submitted write first —
+      // exactly the reordering the stable sort exists to prevent. A
+      // put+delete pair split across batches could resurrect a deleted
+      // key.
+      while (kind == RequestType::kPut && end < group.size() &&
+             KeyOf(group[end]->request) == KeyOf(group[end - 1]->request)) {
         ++end;
       }
-      Batch b;
-      b.type = RequestType::kPut;
-      b.shard = shard;
-      b.tickets.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        b.tickets.push_back(std::move(group[i]));
+      Batch& b = batches.emplace_back();
+      b.type = kind;
+      if (kind != RequestType::kAggregate) {
+        b.shard = static_cast<uint32_t>(id.second);
       }
-      batches.push_back(std::move(b));
+      b.tickets.assign(std::make_move_iterator(group.begin() + begin),
+                       std::make_move_iterator(group.begin() + end));
       begin = end;
     }
   }
-
-  for (auto& [store, group] : aggs_by_store) {
-    for (size_t begin = 0; begin < group.size();
-         begin += options_.max_batch) {
-      const size_t end =
-          std::min(group.size(), begin + options_.max_batch);
-      Batch b;
-      b.type = RequestType::kAggregate;
-      b.tickets.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        b.tickets.push_back(std::move(group[i]));
-      }
-      batches.push_back(std::move(b));
-    }
-  }
-
   return batches;
+}
+
+void GroupSelector::Reset() {
+  size_ = 0;
+  write_keys_.clear();
+}
+
+bool GroupSelector::Take(const Ticket& ticket) {
+  const Request& r = ticket.request;
+  if (size_ == 0) {
+    kind_ = BatchKind(r.type);
+    id_ = BatchId(*batcher_, r);
+  } else if (!Claims(ticket) &&
+             (!Room() || BatchKind(r.type) != kind_ ||
+              BatchId(*batcher_, r) != id_)) {
+    return false;
+  }
+  if (kind_ == RequestType::kPut) write_keys_.push_back(KeyOf(r));
+  ++size_;
+  return true;
+}
+
+bool GroupSelector::Open() const {
+  // A full write group still takes its keys' later writes.
+  return Room() || kind_ == RequestType::kPut;
+}
+
+bool GroupSelector::Room() const {
+  return size_ == 0 ||
+         (Batchable(kind_) && size_ < batcher_->options().max_batch);
+}
+
+bool GroupSelector::Claims(const Ticket& ticket) const {
+  const Request& r = ticket.request;
+  return size_ > 0 && kind_ == RequestType::kPut &&
+         BatchKind(r.type) == RequestType::kPut &&
+         std::find(write_keys_.begin(), write_keys_.end(), KeyOf(r)) !=
+             write_keys_.end();
 }
 
 }  // namespace hwstar::svc

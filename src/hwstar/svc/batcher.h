@@ -47,6 +47,10 @@ struct Batch {
 ///    coarse-grained work; a transaction serializes itself via
 ///    validation, not batch placement).
 ///
+/// Service workers feed Group() one GroupSelector pick at a time, so a
+/// group normally yields one batch; a write group grown past max_batch by
+/// an equal-key run yields several, executed in order by one worker.
+///
 /// Grouping never changes results: every request is executed with its own
 /// arguments, so batched output is bit-identical to one-at-a-time (the
 /// svc_test invariant).
@@ -66,6 +70,36 @@ class Batcher {
  private:
   BatcherOptions options_;
   uint32_t shard_shift_;
+};
+
+/// Picks one group from the admission queue for a Service worker: the
+/// first ticket offered heads it, and a later one joins iff Group() would
+/// batch it with the head — a point-get or a write (put or delete) on the
+/// head's kv shard, an aggregate on the head's store — while the group
+/// holds fewer than max_batch tickets. A write whose key is already in the
+/// group joins even past max_batch, and while the group's pop lingers no
+/// other pop takes it: the never-split rule, applied at the queue, so an
+/// equal-key run never lands in two groups that could run concurrently.
+/// Scans, joins and transactions head a group of one.
+class GroupSelector final : public TicketSelector {
+ public:
+  explicit GroupSelector(const Batcher* batcher) : batcher_(batcher) {}
+
+  /// Forgets the current group; the next ticket offered heads a new one.
+  void Reset();
+
+  bool Take(const Ticket& ticket) override;
+  bool Open() const override;
+  bool Room() const override;
+  /// A write (put or delete) to a key the group already writes.
+  bool Claims(const Ticket& ticket) const override;
+
+ private:
+  const Batcher* batcher_;
+  uint32_t size_ = 0;  ///< tickets taken; 0 = no head yet
+  RequestType kind_ = RequestType::kPointGet;  ///< kPut for any write
+  uintptr_t id_ = 0;  ///< the head's kv shard or aggregate store
+  std::vector<uint64_t> write_keys_;  ///< keys of the writes taken
 };
 
 }  // namespace hwstar::svc

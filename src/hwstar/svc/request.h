@@ -138,8 +138,10 @@ struct Request {
 /// These are the serving-side analogues of the paper's "measure against
 /// the hardware" rule: queueing time is as first-class as execute time.
 struct LatencyBreakdown {
-  uint64_t admit_wait_nanos = 0;  ///< submit → popped by the dispatcher
-  uint64_t batch_wait_nanos = 0;  ///< popped → batch execution start
+  /// submit → popped by a worker, the batch-window linger included
+  uint64_t admit_wait_nanos = 0;
+  /// popped → its execution start (behind the group's earlier work)
+  uint64_t batch_wait_nanos = 0;
   uint64_t exec_nanos = 0;        ///< execution (shared across a batch)
   /// Time blocked on the WAL commit (group-commit wait; part of exec).
   /// Zero for non-durable requests.

@@ -1,7 +1,6 @@
 #include "hwstar/svc/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <vector>
 
 #include "hwstar/common/macros.h"
@@ -34,11 +33,15 @@ BatcherOptions MakeBatcherOptions(const ServiceOptions& options,
   return b;
 }
 
-exec::ExecutorOptions MakeExecutorOptions(const ServiceOptions& options) {
-  exec::ExecutorOptions e;
-  e.num_threads = options.worker_threads;
-  e.pin_threads = options.pin_workers;
-  return e;
+// Each worker holds at most one popped group, so capping the worker count
+// at max_pending_batches caps the groups popped but not yet finished.
+uint32_t WorkerCount(const ServiceOptions& options) {
+  uint32_t n = options.worker_threads;
+  if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
+  if (options.max_pending_batches != 0) {
+    n = std::min(n, options.max_pending_batches);
+  }
+  return n;
 }
 
 }  // namespace
@@ -50,17 +53,20 @@ Service::Service(ServiceOptions options, kv::KvStore* kv)
                   ? options_.policy
                   : std::make_shared<StepDownOverloadPolicy>()),
       queue_(options_.admission),
-      batcher_(MakeBatcherOptions(options_, kv)),
-      pool_(MakeExecutorOptions(options_)),
-      dispatcher_([this] { DispatcherLoop(); }) {
+      batcher_(MakeBatcherOptions(options_, kv)) {
   RegisterMetrics();
+  const uint32_t n = WorkerCount(options_);
+  workers_.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 Service::Service(ServiceOptions options, dur::DurableKvStore* durable)
     : Service(std::move(options), durable->kv()) {
-  // Safe to set after delegation: the dispatcher only reads durable_ while
-  // executing batches, and nothing can be admitted before this ctor body
-  // runs on the submitting side.
+  // Safe to set after delegation: workers only read durable_ while
+  // executing popped tickets, and nothing can be admitted before this ctor
+  // body runs on the submitting side.
   durable_ = durable;
   txn_mgr_ = std::make_unique<txn::TxnManager>(durable);
 }
@@ -68,8 +74,9 @@ Service::Service(ServiceOptions options, dur::DurableKvStore* durable)
 Service::~Service() {
   Drain();
   queue_.Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_.Shutdown();
+  for (auto& worker : workers_) worker.join();
+  // Every admitted request completed or was shed: no future is stranded.
+  HWSTAR_CHECK(accepted_.load() == finished_.load());
 }
 
 void Service::RegisterMetrics() {
@@ -89,10 +96,6 @@ void Service::RegisterMetrics() {
   registry_.RegisterCounter("svc.degraded", &degraded_);
   registry_.RegisterCounter("svc.batches", &batches_);
   registry_.RegisterCounter("svc.batched_requests", &batched_requests_);
-  registry_.RegisterCounter("svc.pool.tasks_run", &pool_.tasks_run_counter());
-  registry_.RegisterCounter("svc.pool.local_pops", &pool_.local_pops_counter());
-  registry_.RegisterCounter("svc.pool.steals", &pool_.steals_counter());
-  registry_.RegisterGauge("svc.pool.queue_depth", &pool_.queue_depth_gauge());
 }
 
 std::future<Response> Service::Submit(Request request) {
@@ -136,14 +139,19 @@ void Service::NotifyIfDrained() {
   drain_cv_.notify_all();
 }
 
-void Service::DispatcherLoop() {
-  std::vector<TicketPtr> popped;
-  while (queue_.PopBatch(&popped, options_.dispatch_max,
+void Service::WorkerLoop() {
+  GroupSelector selector(&batcher_);
+  std::vector<TicketPtr> group;
+  for (;;) {
+    selector.Reset();
+    group.clear();
+    if (!queue_.PopGroup(&group, &selector, options_.dispatch_max,
                          options_.batch_window_nanos)) {
+      return;
+    }
     const uint64_t now = ServiceNow();
-    std::vector<TicketPtr> live;
-    live.reserve(popped.size());
-    for (auto& t : popped) {
+    size_t live = 0;
+    for (auto& t : group) {
       t->admit_nanos = now;
       if (t->request.deadline_nanos != 0 &&
           now > t->request.deadline_nanos) {
@@ -156,25 +164,15 @@ void Service::DispatcherLoop() {
         NotifyIfDrained();
       } else {
         in_flight_.fetch_add(1, kRelaxed);
-        live.push_back(std::move(t));
+        group[live++] = std::move(t);
       }
     }
-    popped.clear();
+    group.resize(live);
 
-    for (Batch& batch : batcher_.Group(std::move(live))) {
+    for (Batch& batch : batcher_.Group(std::move(group))) {
       batches_.Inc();
       batched_requests_.Add(batch.tickets.size());
-      auto shared = std::make_shared<Batch>(std::move(batch));
-      // Bounded hand-off: while the pool is full, hold the pipeline here so
-      // new arrivals back up into the admission queue (and get shed there)
-      // rather than growing an invisible execution backlog. The pool can't
-      // be shut down while the dispatcher runs (see ~Service ordering), so
-      // TrySubmit only fails on the depth bound.
-      while (!pool_.TrySubmit(
-          [this, shared](uint32_t) { ExecuteBatch(shared.get()); },
-          options_.max_pending_batches)) {
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
-      }
+      ExecuteBatch(&batch);
     }
   }
 }
@@ -386,8 +384,7 @@ void Service::ExecuteOne(const Request& request,
       jopts.algorithm = policy_->JoinAlgorithm(signals, request.join.algorithm);
       response->degraded = jopts.algorithm != request.join.algorithm;
       // Morsels run serially inside this worker: parallelism here comes
-      // from concurrent requests across the pool, and nesting a pool wait
-      // inside a pool task would deadlock the fixed-size pool.
+      // from concurrent requests across the service's workers.
       jopts.pool = nullptr;
       response->join = engine::ExecuteJoin(*request.join.query, jopts);
       return;

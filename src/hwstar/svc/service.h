@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "hwstar/exec/executor.h"
 #include "hwstar/obs/registry.h"
 #include "hwstar/kv/kv_store.h"
 #include "hwstar/svc/admission.h"
@@ -34,24 +33,23 @@ struct ServiceOptions {
   AdmissionOptions admission;
   /// max_batch for the batcher; kv_shards is taken from the backing store.
   uint32_t max_batch = 64;
-  /// Workers executing batches (the cores the service owns).
+  /// Worker threads that pop, group and execute requests (the cores the
+  /// service owns; 0 = hardware concurrency).
   uint32_t worker_threads = 2;
-  /// Pin each worker to its own logical core (topology-driven). The
-  /// serving cores then stay cache-warm across batches and NUMA
-  /// first-touch placement is stable; leave off when co-running with
-  /// other pools on a small host.
-  bool pin_workers = false;
-  /// How long the dispatcher lingers for batch-mates when the queue holds
-  /// fewer than a full batch. The knob trading a little latency for
-  /// amortized fixed costs.
+  /// How long a worker that popped a group with room left lingers for
+  /// batch-mates before executing it (one worker at a time; the others
+  /// execute at once). The knob trading a little latency for amortized
+  /// fixed costs.
   uint64_t batch_window_nanos = 50'000;
-  /// Max tickets the dispatcher pops per round (>= max_batch keeps the
-  /// batcher fed with grouping candidates).
+  /// How many queued tickets a pop scans for the head's batch-mates
+  /// (>= max_batch lets a pop fill a whole batch). A queue this deep also
+  /// cuts a linger short.
   uint32_t dispatch_max = 64;
-  /// Bound on batches queued at the worker pool (0 = unbounded). When the
-  /// pool is full the dispatcher stops popping, so overload backs up into
-  /// the admission queue — the place with quotas and shedding — instead of
-  /// hiding in an unbounded execution queue where control can't reach it.
+  /// Bound on groups popped but not yet finished (0 = no bound beyond
+  /// worker_threads). Each worker holds at most one group, so the service
+  /// runs min(worker_threads, max_pending_batches) workers; overload then
+  /// backs up into the admission queue — the place with quotas and
+  /// shedding — instead of into work control can't reach.
   uint32_t max_pending_batches = 8;
   /// Degradation policy; null installs StepDownOverloadPolicy.
   std::shared_ptr<const OverloadPolicy> policy;
@@ -66,12 +64,14 @@ struct ServiceOptions {
 /// The hardware-conscious request-serving front end: clients submit typed
 /// requests from any thread; the service admits them against bounded
 /// queues (backpressure instead of unbounded growth), batches compatible
-/// ones to amortize per-request fixed costs, executes on a fixed worker
-/// pool sized to the machine, and accounts every request's life
+/// ones to amortize per-request fixed costs, executes on a fixed set of
+/// workers sized to the machine, and accounts every request's life
 /// phase-by-phase so p50/p99 and shed rate are first-class outputs.
 ///
-/// Pipeline: Submit → AdmissionQueue → dispatcher (batch window) →
-/// Batcher → Executor workers → KvStore / engine::ExecuteJoin.
+/// Pipeline: Submit → AdmissionQueue → worker (pop one group, linger up
+/// to the batch window, Batcher, execute inline) → KvStore /
+/// engine::ExecuteJoin. A request crosses one thread hand-off, client to
+/// worker; backpressure is workers not popping.
 class Service {
  public:
   /// `kv` backs point-get, put and scan requests (may be null when only
@@ -90,7 +90,7 @@ class Service {
   /// Borrowed; must outlive the service.
   Service(ServiceOptions options, dur::DurableKvStore* durable);
 
-  /// Drains in-flight work, then stops dispatcher and workers.
+  /// Drains in-flight work, then stops the workers.
   ~Service();
 
   Service(const Service&) = delete;
@@ -113,7 +113,7 @@ class Service {
   void PrintReport(const std::string& title) const;
 
   /// Text exposition of every registered service metric (latency
-  /// histograms, completion counters, worker-pool counters) — the
+  /// histograms, completion and batch counters) — the
   /// scrape-style view of the obs registry — followed by the current
   /// tunable values, so a scrape records the knob configuration that
   /// produced the numbers next to the numbers themselves.
@@ -133,7 +133,9 @@ class Service {
   const ServiceOptions& options() const { return options_; }
 
  private:
-  void DispatcherLoop();
+  /// One worker: pop a group, shed what expired in the queue, execute the
+  /// rest inline; until the queue is closed and drained.
+  void WorkerLoop();
   void ExecuteBatch(Batch* batch);
   void ExecuteOne(const Request& request, const OverloadSignals& signals,
                   Response* response);
@@ -156,7 +158,6 @@ class Service {
   std::shared_ptr<const OverloadPolicy> policy_;
   AdmissionQueue queue_;
   Batcher batcher_;
-  exec::Executor pool_;
 
   std::atomic<uint64_t> accepted_{0};   ///< admitted into the queue
   std::atomic<uint64_t> finished_{0};   ///< completed or shed post-admit
@@ -175,7 +176,7 @@ class Service {
   mutable std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
 
-  std::thread dispatcher_;  ///< last member: started after everything else
+  std::vector<std::thread> workers_;  ///< started after everything else
 };
 
 }  // namespace hwstar::svc

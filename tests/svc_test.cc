@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -41,6 +43,19 @@ TicketPtr MakeTicket(Request request) {
 
 // --- AdmissionQueue -------------------------------------------------------
 
+/// Takes every ticket it is offered.
+struct TakeAll final : TicketSelector {
+  bool Take(const Ticket&) override { return true; }
+  bool Open() const override { return true; }
+};
+
+// Pops up to `max` tickets in pop order, without lingering.
+bool PopUpTo(AdmissionQueue* queue, std::vector<TicketPtr>* out,
+             uint32_t max) {
+  TakeAll all;
+  return queue->PopGroup(out, &all, max, /*linger_nanos=*/0);
+}
+
 TEST(AdmissionQueueTest, AcceptRejectBoundaryAtMaxDepth) {
   AdmissionOptions opts;
   opts.max_queue_depth = 2;
@@ -58,7 +73,7 @@ TEST(AdmissionQueueTest, AcceptRejectBoundaryAtMaxDepth) {
 
   // Popping frees capacity; the same ticket admits cleanly afterwards.
   std::vector<TicketPtr> out;
-  ASSERT_TRUE(queue.PopBatch(&out, 1));
+  ASSERT_TRUE(PopUpTo(&queue, &out, 1));
   EXPECT_EQ(out.size(), 1u);
   EXPECT_TRUE(queue.TryAdmit(t3).ok());
 
@@ -116,7 +131,7 @@ TEST(AdmissionQueueTest, PopReturnsHighestPriorityFirst) {
   ASSERT_TRUE(queue.TryAdmit(low).ok());
   ASSERT_TRUE(queue.TryAdmit(high).ok());
   std::vector<TicketPtr> out;
-  ASSERT_TRUE(queue.PopBatch(&out, 2));
+  ASSERT_TRUE(PopUpTo(&queue, &out, 2));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0]->request.priority, Priority::kHigh);
   EXPECT_EQ(out[1]->request.priority, Priority::kLow);
@@ -129,10 +144,43 @@ TEST(AdmissionQueueTest, CloseWakesAndDrains) {
     queue.Close();
   });
   std::vector<TicketPtr> out;
-  EXPECT_FALSE(queue.PopBatch(&out, 4));  // unblocked by Close
+  EXPECT_FALSE(PopUpTo(&queue, &out, 4));  // unblocked by Close
   closer.join();
   auto t = MakeTicket(Request::PointGet(1));
   EXPECT_EQ(queue.TryAdmit(t).code(), StatusCode::kFailedPrecondition);
+}
+
+// While one pop lingers, another pop leaves it the tickets it claims: a
+// later write to a key of the lingering group must not overtake the group.
+TEST(AdmissionQueueTest, LingeringPopKeepsItsClaimedTickets) {
+  AdmissionQueue queue(AdmissionOptions{});
+  const Batcher batcher(BatcherOptions{});
+  auto put = MakeTicket(Request::Put(7, 100));
+  ASSERT_TRUE(queue.TryAdmit(put).ok());
+  std::vector<TicketPtr> lingered;
+  std::thread lingerer([&] {
+    GroupSelector selector(&batcher);
+    EXPECT_TRUE(queue.PopGroup(&lingered, &selector, 64,
+                               /*linger_nanos=*/60'000'000'000));
+  });
+  // The put is taken and the linger begun in one critical section.
+  while (queue.depth() != 0) std::this_thread::yield();
+
+  auto overwrite = MakeTicket(Request::Put(7, 101));
+  auto get = MakeTicket(Request::PointGet(5));
+  ASSERT_TRUE(queue.TryAdmit(overwrite).ok());
+  ASSERT_TRUE(queue.TryAdmit(get).ok());
+  GroupSelector selector(&batcher);
+  std::vector<TicketPtr> out;
+  ASSERT_TRUE(queue.PopGroup(&out, &selector, 64, /*linger_nanos=*/0));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0]->request.type, RequestType::kPointGet);
+
+  queue.Close();  // ends the linger
+  lingerer.join();
+  ASSERT_EQ(lingered.size(), 2u);
+  EXPECT_EQ(lingered[0]->request.put.value, 100u);
+  EXPECT_EQ(lingered[1]->request.put.value, 101u);
 }
 
 // --- Batcher --------------------------------------------------------------
@@ -555,7 +603,7 @@ TEST(AdmissionQueueTest, TenantMapStaysBoundedUnderTenantChurn) {
     ASSERT_TRUE(queue.TryAdmit(ticket).ok());
     if ((tenant & 7) == 7) {
       out.clear();
-      ASSERT_TRUE(queue.PopBatch(&out, 8));
+      ASSERT_TRUE(PopUpTo(&queue, &out, 8));
       ASSERT_EQ(out.size(), 8u);
     }
     if ((tenant & 4095) == 4095) {
@@ -566,7 +614,7 @@ TEST(AdmissionQueueTest, TenantMapStaysBoundedUnderTenantChurn) {
   }
   while (queue.depth() > 0) {
     out.clear();
-    ASSERT_TRUE(queue.PopBatch(&out, 64));
+    ASSERT_TRUE(PopUpTo(&queue, &out, 64));
   }
   EXPECT_EQ(queue.tenant_map_size(), 0u);  // fully drained: empty map
 }
@@ -667,9 +715,11 @@ TEST(ServiceTest, DumpMetricsTextExposesLiveMetrics) {
   EXPECT_NE(text.find("histogram svc.latency.total count=10"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("counter svc.pool.tasks_run"), std::string::npos)
+  // Ten sequential calls: ten groups of one.
+  EXPECT_NE(text.find("counter svc.batches 10\n"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("gauge svc.pool.queue_depth"), std::string::npos)
+  EXPECT_NE(text.find("counter svc.batched_requests 10\n"),
+            std::string::npos)
       << text;
 }
 
@@ -854,6 +904,244 @@ TEST(ServiceTest, ConcurrentTxnIncrementsAreAtomic) {
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(db.value()->kv()->Get(1).value(),
             static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+// --- Workers pop straight from the admission queue ------------------------
+
+// Polls signals().in_flight until every future is ready; returns the most
+// requests seen popped but not yet finished at once.
+uint32_t MaxInFlightUntilDone(const Service& service,
+                              std::vector<std::future<Response>>* futures) {
+  uint32_t max_in_flight = 0;
+  for (auto& f : *futures) {
+    while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      max_in_flight = std::max(max_in_flight, service.signals().in_flight);
+      std::this_thread::yield();
+    }
+  }
+  return max_in_flight;
+}
+
+// A filtered SUM over a 1M-row store: tens of ms, long enough for every
+// worker to pop its own before the first finishes.
+Request LongAggregate(const storage::ColumnStore* cs) {
+  return Request::Aggregate(cs, engine::Lt(engine::Col(1), engine::Lit(50)),
+                            engine::Add(engine::Col(0), engine::Col(1)));
+}
+
+// A pop takes one group, so independent long requests spread over the
+// workers instead of queueing behind one of them.
+TEST(ServiceTest, IndependentRequestsRunInParallel) {
+  storage::ColumnStore cs = MakeColumnStore(1 << 20);
+  ServiceOptions opts = NoDegradeOptions();
+  opts.worker_threads = 4;
+  opts.max_batch = 1;
+  kv::KvStore store;
+  Service service(opts, &store);
+
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 8; ++i) {
+    futures.push_back(service.Submit(LongAggregate(&cs)));
+  }
+  EXPECT_EQ(MaxInFlightUntilDone(service, &futures), 4u);
+  uint64_t total_exec = 0;
+  uint64_t max_batch_wait = 0;
+  for (auto& f : futures) {
+    const Response r = f.get();
+    EXPECT_TRUE(r.status.ok());
+    total_exec += r.latency.exec_nanos;
+    max_batch_wait = std::max(max_batch_wait, r.latency.batch_wait_nanos);
+  }
+  // Popped together onto one worker, the last aggregate would wait out
+  // the other seven's executions between its pop and its start.
+  EXPECT_LT(max_batch_wait, total_exec / 2);
+}
+
+// An arrival wakes the idle worker, not the one lingering for batch-mates:
+// a scan submitted during another worker's 1 s linger is served at once.
+TEST(ServiceTest, ArrivalWakesIdleWorkerWhileAnotherLingers) {
+  kv::KvStore store;
+  for (uint64_t k = 0; k < 100; ++k) store.Put(k, k);
+  ServiceOptions opts = NoDegradeOptions();
+  opts.worker_threads = 2;
+  opts.batch_window_nanos = 1'000'000'000;
+  Service service(opts, &store);
+
+  std::future<Response> get = service.Submit(Request::PointGet(7));
+  // Popped (the queue is empty) and lingering: a lone get has room left.
+  while (service.signals().queue_depth != 0) std::this_thread::yield();
+
+  const uint64_t start = ServiceNow();
+  Response scan = service.Call(Request::Scan(10, 19));
+  const uint64_t scan_nanos = ServiceNow() - start;
+  ASSERT_TRUE(scan.status.ok());
+  EXPECT_EQ(scan.rows.size(), 10u);
+  EXPECT_LT(scan_nanos, 500'000'000u);
+  // The get's worker was still lingering when the scan finished.
+  EXPECT_EQ(get.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_EQ(get.get().value, 7u);
+}
+
+// A later write to a key the lingering group writes is left to that group,
+// not served at once by the idle worker: it would overtake the earlier
+// write.
+TEST(ServiceTest, LaterEqualKeyWriteJoinsTheLingeringGroup) {
+  kv::KvStore store;
+  ServiceOptions opts = NoDegradeOptions();
+  opts.worker_threads = 2;
+  opts.batch_window_nanos = 200'000'000;
+  Service service(opts, &store);
+
+  std::future<Response> put = service.Submit(Request::Put(7, 100));
+  // Popped (the queue is empty) and lingering: a lone put has room left.
+  while (service.signals().queue_depth != 0) std::this_thread::yield();
+  std::future<Response> overwrite = service.Submit(Request::Put(7, 101));
+  EXPECT_TRUE(put.get().status.ok());
+  EXPECT_TRUE(overwrite.get().status.ok());
+  EXPECT_EQ(store.Get(7).value(), 101u);
+
+  // The same for a delete after a put.
+  put = service.Submit(Request::Put(8, 1));
+  while (service.signals().queue_depth != 0) std::this_thread::yield();
+  std::future<Response> del = service.Submit(Request::Delete(8));
+  EXPECT_TRUE(put.get().status.ok());
+  EXPECT_EQ(del.get().value, 1u);  // the delete saw the put
+  EXPECT_FALSE(store.Get(8).ok());
+  EXPECT_EQ(service.metrics().batches, 2u);  // each write pair rode one
+}
+
+// A group with no room left does not linger: with max_batch 1, a lone put
+// completes well inside the batch window.
+TEST(ServiceTest, FullGroupDoesNotLinger) {
+  kv::KvStore store;
+  ServiceOptions opts = NoDegradeOptions();
+  opts.max_batch = 1;
+  opts.batch_window_nanos = 2'000'000'000;
+  Service service(opts, &store);
+
+  const uint64_t start = ServiceNow();
+  EXPECT_TRUE(service.Call(Request::Put(7, 100)).status.ok());
+  EXPECT_LT(ServiceNow() - start, 1'000'000'000u);
+}
+
+// max_pending_batches caps the groups popped but not yet finished, even
+// with more worker threads configured than that.
+TEST(ServiceTest, MaxPendingBatchesCapsPoppedGroups) {
+  storage::ColumnStore cs = MakeColumnStore(1 << 20);
+  ServiceOptions opts = NoDegradeOptions();
+  opts.worker_threads = 4;
+  opts.max_pending_batches = 2;
+  opts.max_batch = 1;  // one request per group: in_flight counts groups
+  kv::KvStore store;
+  Service service(opts, &store);
+
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(service.Submit(LongAggregate(&cs)));
+  }
+  EXPECT_EQ(MaxInFlightUntilDone(service, &futures), 2u);
+  for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
+  EXPECT_EQ(service.metrics().batches, 6u);
+}
+
+// Destroying a durable service while four clients still hold lingering and
+// queued gets, puts and txns: every future resolves, nothing hangs, and
+// every acked put and txn is in the store and survives a reopen. ~Service
+// itself checks that every admitted request finished (accepted == finished).
+TEST(ServiceTest, ShutdownUnderLoadResolvesEveryFuture) {
+  dur::InMemoryFileBackend fs;
+  dur::DurableKvOptions dopts;
+  dopts.kv.shards = 4;
+  dopts.log.fsync_interval_us = 50;
+  constexpr int kClients = 4;
+  constexpr uint64_t kPerClient = 300;
+  constexpr uint64_t kCounterBase = uint64_t{1} << 40;
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> acked_puts(kClients);
+  std::vector<uint64_t> acked_txns(kClients, 0);
+  {
+    auto db = dur::DurableKvStore::Open(&fs, "db", dopts);
+    ASSERT_TRUE(db.ok());
+    ServiceOptions opts = NoDegradeOptions();
+    opts.batch_window_nanos = 5'000'000;  // long: groups linger at shutdown
+    opts.admission.max_queue_depth = 1024;  // below the 1200 submitted
+    auto service = std::make_unique<Service>(opts, db.value().get());
+
+    std::atomic<int> submitted{0};
+    std::atomic<uint64_t> unresolved{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        std::vector<std::future<Response>> futures;
+        std::vector<Request> requests;
+        for (uint64_t i = 0; i < kPerClient; ++i) {
+          const uint64_t key = c * kPerClient + i + 1;
+          switch (i % 3) {
+            case 0:
+              requests.push_back(Request::PointGet(key - 1));
+              break;
+            case 1:
+              requests.push_back(Request::Put(key, key * 7));
+              break;
+            default:
+              requests.push_back(Request::Txn(
+                  {{TxnOp::Kind::kAdd, kCounterBase + c, 1}}, 4));
+              break;
+          }
+          futures.push_back(service->Submit(requests.back()));
+        }
+        submitted.fetch_add(1);
+        for (uint64_t i = 0; i < kPerClient; ++i) {
+          if (futures[i].wait_for(std::chrono::seconds(60)) !=
+              std::future_status::ready) {
+            unresolved.fetch_add(1);
+            continue;
+          }
+          const Response r = futures[i].get();
+          const Request& req = requests[i];
+          if (r.status.ok()) {
+            if (req.type == RequestType::kPut) {
+              acked_puts[c].emplace_back(req.put.key, req.put.value);
+            } else if (req.type == RequestType::kTxn) {
+              ++acked_txns[c];
+            }
+            continue;
+          }
+          const StatusCode code = r.status.code();
+          EXPECT_TRUE(code == StatusCode::kResourceExhausted ||
+                      code == StatusCode::kFailedPrecondition ||
+                      code == StatusCode::kDeadlineExceeded ||
+                      (code == StatusCode::kNotFound &&
+                       req.type == RequestType::kPointGet) ||
+                      (code == StatusCode::kAborted &&
+                       req.type == RequestType::kTxn))
+              << r.status.ToString();
+        }
+      });
+    }
+    while (submitted.load() < kClients) std::this_thread::yield();
+    service.reset();  // destroyed while the clients wait on their futures
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(unresolved.load(), 0u);
+
+    size_t acked = 0;
+    for (int c = 0; c < kClients; ++c) {
+      acked += acked_puts[c].size();
+      for (const auto& [key, value] : acked_puts[c]) {
+        EXPECT_EQ(db.value()->kv()->Get(key).value(), value) << key;
+      }
+    }
+    EXPECT_GT(acked, 0u);
+  }
+  auto reopened = dur::DurableKvStore::Open(&fs, "db", dopts);
+  ASSERT_TRUE(reopened.ok());
+  for (int c = 0; c < kClients; ++c) {
+    for (const auto& [key, value] : acked_puts[c]) {
+      EXPECT_EQ(reopened.value()->kv()->Get(key).value(), value) << key;
+    }
+    const auto counter = reopened.value()->kv()->Get(kCounterBase + c);
+    EXPECT_EQ(counter.ok() ? counter.value() : 0, acked_txns[c]);
+  }
 }
 
 }  // namespace
