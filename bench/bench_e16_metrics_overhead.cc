@@ -1,12 +1,13 @@
 // E16 -- the observer effect: what recording a latency sample costs. The
-// old svc::LatencyRecorder took a global mutex per completion and kept
-// every sample forever; the obs-backed recorder bumps relaxed atomics on
-// a per-thread, cache-line-padded shard of a bounded log-linear
-// histogram. This bench measures both on the multi-threaded completion
+// service's original latency recorder took a global mutex per completion
+// and kept every sample forever; svc::Service now bumps relaxed atomics on
+// a per-thread, cache-line-padded shard of a bounded log-linear histogram
+// per phase. This bench measures both on the multi-threaded completion
 // path the service actually runs:
 //   mutex  -- a faithful replica of the old recorder (mutex + unbounded
 //             per-phase vectors, snapshot = copy + sort)
-//   obs    -- svc::LatencyRecorder as shipped (obs::Histogram per phase)
+//   obs    -- what Service::Complete does: five obs::Histograms, one per
+//             LatencyBreakdown phase, wal only when the request waited
 // Four views, because the old recorder loses on more than one axis:
 //   1. raw recording throughput vs thread count (on multi-core hardware
 //      the mutex line ping-pongs and throughput falls as threads rise;
@@ -33,7 +34,6 @@
 #include "hwstar/common/timer.h"
 #include "hwstar/obs/histogram.h"
 #include "hwstar/perf/report.h"
-#include "hwstar/svc/metrics.h"
 #include "hwstar/svc/request.h"
 
 namespace {
@@ -41,11 +41,18 @@ namespace {
 using hwstar::WallTimer;
 using hwstar::perf::ReportTable;
 using hwstar::svc::LatencyBreakdown;
-using hwstar::svc::LatencyRecorder;
-using hwstar::svc::LatencySnapshot;
-using hwstar::svc::Phase;
 
 constexpr double kTrialSeconds = 0.4;
+
+/// What a scrape reads per phase, nanoseconds (both arms fill it).
+struct PhaseSummary {
+  uint64_t count = 0;
+  uint64_t p50 = 0;
+  uint64_t p90 = 0;
+  uint64_t p99 = 0;
+  uint64_t max = 0;
+  double mean = 0;
+};
 
 /// The old recorder, kept verbatim as the baseline: one mutex around
 /// unbounded per-phase sample vectors; snapshots copy and sort.
@@ -60,13 +67,13 @@ class MutexRecorder {
     if (b.wal_nanos != 0) samples_[4].push_back(b.wal_nanos);
   }
 
-  LatencySnapshot Snapshot(int phase) const {
+  PhaseSummary Snapshot(int phase) const {
     std::vector<uint64_t> sorted;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       sorted = samples_[phase];
     }
-    LatencySnapshot snap;
+    PhaseSummary snap;
     if (sorted.empty()) return snap;
     std::sort(sorted.begin(), sorted.end());
     snap.count = sorted.size();
@@ -83,6 +90,33 @@ class MutexRecorder {
  private:
   mutable std::mutex mutex_;
   std::vector<uint64_t> samples_[5];
+};
+
+/// The obs arm: the five phase histograms Service::Complete records into.
+class ObsRecorder {
+ public:
+  void Record(const LatencyBreakdown& b) {
+    phases_[0].Record(b.admit_wait_nanos);
+    phases_[1].Record(b.batch_wait_nanos);
+    phases_[2].Record(b.exec_nanos);
+    phases_[3].Record(b.total_nanos);
+    if (b.wal_nanos != 0) phases_[4].Record(b.wal_nanos);
+  }
+
+  PhaseSummary Snapshot(int phase) const {
+    const hwstar::obs::HistogramSnapshot h = phases_[phase].Snapshot();
+    PhaseSummary snap;
+    snap.count = h.count();
+    snap.p50 = h.Quantile(0.50);
+    snap.p90 = h.Quantile(0.90);
+    snap.p99 = h.Quantile(0.99);
+    snap.max = h.max();
+    snap.mean = h.mean();
+    return snap;
+  }
+
+ private:
+  hwstar::obs::Histogram phases_[5];
 };
 
 LatencyBreakdown MakeBreakdown(uint64_t i) {
@@ -159,12 +193,9 @@ void ThroughputTable(bool scraped) {
     }
     double obs_rate;
     {
-      LatencyRecorder obs_recorder;
+      ObsRecorder obs_recorder;
       auto scrape = [&obs_recorder] {
-        for (auto phase : {Phase::kAdmitWait, Phase::kBatchWait, Phase::kExec,
-                           Phase::kTotal, Phase::kWal}) {
-          obs_recorder.Snapshot(phase);
-        }
+        for (int phase = 0; phase < 5; ++phase) obs_recorder.Snapshot(phase);
       };
       obs_rate = scraped ? RunTrial(&obs_recorder, threads, &scrape)
                          : RunTrial(&obs_recorder, threads);
@@ -184,7 +215,7 @@ void ScrapeLatencyTable() {
       {"samples", "mutex_ms", "obs_ms", "ratio"});
   for (size_t n : {size_t{100000}, size_t{1000000}, size_t{4000000}}) {
     MutexRecorder mutex_recorder;
-    LatencyRecorder obs_recorder;
+    ObsRecorder obs_recorder;
     for (size_t i = 0; i < n; ++i) {
       const LatencyBreakdown b = MakeBreakdown(i);
       mutex_recorder.Record(b);
@@ -194,10 +225,7 @@ void ScrapeLatencyTable() {
     for (int phase = 0; phase < 5; ++phase) mutex_recorder.Snapshot(phase);
     const double mutex_ms = static_cast<double>(timer.ElapsedNanos()) * 1e-6;
     timer.Restart();
-    for (auto phase : {Phase::kAdmitWait, Phase::kBatchWait, Phase::kExec,
-                       Phase::kTotal, Phase::kWal}) {
-      obs_recorder.Snapshot(phase);
-    }
+    for (int phase = 0; phase < 5; ++phase) obs_recorder.Snapshot(phase);
     const double obs_ms = static_cast<double>(timer.ElapsedNanos()) * 1e-6;
     table.AddRow({std::to_string(n), ReportTable::Num(mutex_ms),
                   ReportTable::Num(obs_ms),

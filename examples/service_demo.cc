@@ -1,7 +1,7 @@
 // Service demo: the hwstar::svc front end serving a mixed OLTP/analytics
 // workload end to end -- typed requests with tenants, priorities and
-// deadlines, bounded admission, batched execution, and a phase-by-phase
-// latency report at the end.
+// deadlines, bounded admission, batched execution, and a metrics scrape at
+// the end (phase-by-phase latency histograms plus the kv counters).
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -101,6 +101,7 @@ int main() {
   // 7. The serving-side ledger: where every request spent its life.
   service.Drain();
   std::printf("\n");
-  service.PrintReport("service_demo: request lifecycle");
+  std::printf("service_demo: request lifecycle (ns)\n%s",
+              service.registry().DumpText().c_str());
   return 0;
 }

@@ -299,4 +299,11 @@ LogWriterStats DurableKvStore::log_stats() const {
   return total;
 }
 
+void DurableKvStore::RegisterMetrics(obs::Registry* registry) const {
+  for (size_t shard = 0; shard < logs_.size(); ++shard) {
+    logs_[shard]->writer->RegisterMetrics(
+        registry, "dur.wal." + std::to_string(shard) + ".");
+  }
+}
+
 }  // namespace hwstar::dur

@@ -135,6 +135,11 @@ class DurableKvStore {
   /// Sum of every log shard's counters.
   LogWriterStats log_stats() const;
 
+  /// Registers every log shard's metrics (borrowed) under
+  /// "dur.wal.<shard>." (see LogWriter::RegisterMetrics). The kv store's
+  /// own counters register through kv()->RegisterMetrics.
+  void RegisterMetrics(obs::Registry* registry) const;
+
   const std::string& prefix() const { return prefix_; }
 
  private:

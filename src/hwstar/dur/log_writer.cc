@@ -108,11 +108,11 @@ Result<uint64_t> LogWriter::Append(WalRecord record) {
     const uint64_t io_start = NowNanos();
     Status st = segment_->Append(scratch.data(), scratch.size());
     if (st.ok()) st = segment_->Sync(options_.sync);
-    sync_batch_hist_.Record(1);
-    sync_latency_hist_.Record(NowNanos() - io_start);
-    stat_records_.fetch_add(1, kRelaxed);
-    stat_bytes_.fetch_add(scratch.size(), kRelaxed);
-    stat_groups_.fetch_add(1, kRelaxed);
+    sync_batch_.Record(1);
+    sync_latency_ns_.Record(NowNanos() - io_start);
+    records_.Inc();
+    bytes_.Add(scratch.size());
+    groups_.Inc();
     if (!st.ok()) {
       poisoned_ = st;
       return st;
@@ -138,7 +138,7 @@ Result<uint64_t> LogWriter::Append(WalRecord record) {
   active_.used += scratch.size();
   active_.last_lsn = lsn;
   ++active_.records;
-  stat_records_.fetch_add(1, kRelaxed);
+  records_.Inc();
   // Wake the syncer only on the edges its waits test: work appeared, the
   // buffer reached half full, or the record count reached fsync_every_n.
   // Any other append would wake a lingering syncer just to find its
@@ -174,10 +174,10 @@ Status LogWriter::FlushBuffer(Buffer* buf) {
   const uint64_t io_start = NowNanos();
   Status st = segment_->Append(buf->data.get(), buf->used);
   if (st.ok()) st = segment_->Sync(options_.sync);
-  sync_batch_hist_.Record(buf->records);
-  sync_latency_hist_.Record(NowNanos() - io_start);
-  stat_bytes_.fetch_add(buf->used, kRelaxed);
-  stat_groups_.fetch_add(1, kRelaxed);
+  sync_batch_.Record(buf->records);
+  sync_latency_ns_.Record(NowNanos() - io_start);
+  bytes_.Add(buf->used);
+  groups_.Inc();
   return st;
 }
 
@@ -301,7 +301,7 @@ Status LogWriter::Rotate() {
     return poisoned_;
   }
   segment_ = std::move(file.value());
-  stat_rotations_.fetch_add(1, kRelaxed);
+  rotations_.Inc();
   rotate_pending_ = false;
   lock.unlock();
   work_cv_.notify_all();
@@ -314,19 +314,31 @@ Status LogWriter::TruncateThrough(uint64_t lsn) {
     const uint32_t index = sealed_.front().first;
     HWSTAR_RETURN_IF_ERROR(backend_->Remove(SegmentName(prefix_, index)));
     sealed_.erase(sealed_.begin());
-    stat_truncated_.fetch_add(1, kRelaxed);
+    truncated_segments_.Inc();
   }
   return Status::OK();
 }
 
 LogWriterStats LogWriter::stats() const {
   LogWriterStats s;
-  s.records = stat_records_.load(kRelaxed);
-  s.bytes = stat_bytes_.load(kRelaxed);
-  s.groups = stat_groups_.load(kRelaxed);
-  s.rotations = stat_rotations_.load(kRelaxed);
-  s.truncated_segments = stat_truncated_.load(kRelaxed);
+  s.records = records_.value();
+  s.bytes = bytes_.value();
+  s.groups = groups_.value();
+  s.rotations = rotations_.value();
+  s.truncated_segments = truncated_segments_.value();
   return s;
+}
+
+void LogWriter::RegisterMetrics(obs::Registry* registry,
+                                const std::string& prefix) const {
+  registry->RegisterCounter(prefix + "records", &records_);
+  registry->RegisterCounter(prefix + "bytes", &bytes_);
+  registry->RegisterCounter(prefix + "groups", &groups_);
+  registry->RegisterCounter(prefix + "rotations", &rotations_);
+  registry->RegisterCounter(prefix + "truncated_segments",
+                            &truncated_segments_);
+  registry->RegisterHistogram(prefix + "sync_batch", &sync_batch_);
+  registry->RegisterHistogram(prefix + "sync_latency_ns", &sync_latency_ns_);
 }
 
 }  // namespace hwstar::dur

@@ -15,6 +15,8 @@
 #include "hwstar/dur/wal_format.h"
 #include "hwstar/mem/aligned.h"
 #include "hwstar/obs/histogram.h"
+#include "hwstar/obs/metric.h"
+#include "hwstar/obs/registry.h"
 
 namespace hwstar::dur {
 
@@ -123,22 +125,13 @@ class LogWriter {
   const LogWriterOptions& options() const { return options_; }
   LogWriterStats stats() const;
 
-  /// Distribution of records per write+sync round — the group-commit
-  /// batch sizes behind LogWriterStats::mean_group().
-  obs::HistogramSnapshot sync_batch_snapshot() const {
-    return sync_batch_hist_.Snapshot();
-  }
-  /// Distribution of write+sync wall time per round, nanoseconds.
-  obs::HistogramSnapshot sync_latency_snapshot() const {
-    return sync_latency_hist_.Snapshot();
-  }
-  /// The underlying histograms, for registry registration.
-  const obs::Histogram& sync_batch_histogram() const {
-    return sync_batch_hist_;
-  }
-  const obs::Histogram& sync_latency_histogram() const {
-    return sync_latency_hist_;
-  }
+  /// Registers the LogWriterStats counters (borrowed) as
+  /// `<prefix>records|bytes|groups|rotations|truncated_segments`, plus two
+  /// histograms: `<prefix>sync_batch` (records per write+sync round, the
+  /// group-commit batch sizes behind mean_group()) and
+  /// `<prefix>sync_latency_ns` (write+sync wall time per round).
+  void RegisterMetrics(obs::Registry* registry,
+                       const std::string& prefix) const;
 
   /// `<prefix>-<nnnnnn>.wal`, recovery parses the index back out.
   static std::string SegmentName(const std::string& prefix, uint32_t index);
@@ -189,14 +182,14 @@ class LogWriter {
   std::atomic<uint64_t> next_lsn_;
   std::atomic<uint64_t> durable_lsn_;
 
-  // Stats (relaxed; read by stats()).
-  obs::Histogram sync_batch_hist_;    ///< records per flush group
-  obs::Histogram sync_latency_hist_;  ///< nanos per write+sync round
-  std::atomic<uint64_t> stat_records_{0};
-  std::atomic<uint64_t> stat_bytes_{0};
-  std::atomic<uint64_t> stat_groups_{0};
-  std::atomic<uint64_t> stat_rotations_{0};
-  std::atomic<uint64_t> stat_truncated_{0};
+  // Stats (read by stats() and through RegisterMetrics).
+  obs::Histogram sync_batch_;       ///< records per flush group
+  obs::Histogram sync_latency_ns_;  ///< nanos per write+sync round
+  obs::Counter records_;
+  obs::Counter bytes_;
+  obs::Counter groups_;
+  obs::Counter rotations_;
+  obs::Counter truncated_segments_;
 
   std::thread syncer_;  ///< last member: started after everything else
 };

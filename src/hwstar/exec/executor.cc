@@ -100,7 +100,6 @@ bool Executor::SubmitInternal(Task task, size_t max_queue_depth,
       }
     } while (!state_.compare_exchange_weak(cur, cur + kOneQueued +
                                                     kOnePending));
-    queue_depth_gauge_.Set(static_cast<int64_t>(QueuedOf(cur)) + 1);
     prev_queued = QueuedOf(cur);
   } else {
     const uint64_t prev = state_.fetch_add(kOneQueued + kOnePending);
@@ -121,7 +120,6 @@ bool Executor::SubmitInternal(Task task, size_t max_queue_depth,
       }
       return false;
     }
-    queue_depth_gauge_.Set(static_cast<int64_t>(QueuedOf(prev)) + 1);
     prev_queued = QueuedOf(prev);
   }
 
@@ -202,7 +200,6 @@ bool Executor::TryRunOne(uint32_t id) {
   }
   {
     const uint64_t prev = state_.fetch_sub(count * kOneQueued);
-    queue_depth_gauge_.Set(static_cast<int64_t>(QueuedOf(prev) - count));
     // Wake propagation: submits past the empty->nonempty edge do not
     // notify, so a worker that claims a batch and sees surplus left
     // behind recruits one more sleeper. Each recruit repeats the check,

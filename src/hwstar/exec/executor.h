@@ -50,8 +50,8 @@ struct ExecutorOptions {
 /// shutdown has begun, `TrySubmit` is the bounded enqueue that svc
 /// admission backpressure rests on, `Shutdown` drains accepted tasks
 /// before joining, `WaitIdle` blocks until every accepted task has
-/// finished, and obs counters/gauges (tasks run, queue depth, local
-/// pops, steals) expose the scheduler to registries.
+/// finished, and obs counters (tasks run, local pops, steals) back
+/// `tasks_run()` and `stats()`.
 class Executor {
  public:
   using Task = std::function<void(uint32_t worker_id)>;
@@ -103,13 +103,6 @@ class Executor {
   uint32_t num_threads() const {
     return static_cast<uint32_t>(threads_.size());
   }
-
-  /// The obs views of the scheduler's counters, for registry
-  /// registration.
-  const obs::Counter& tasks_run_counter() const { return tasks_run_; }
-  const obs::Counter& local_pops_counter() const { return local_pops_; }
-  const obs::Counter& steals_counter() const { return steals_; }
-  const obs::Gauge& queue_depth_gauge() const { return queue_depth_gauge_; }
 
  private:
   /// One worker's deque, padded so two workers' locks and queue heads
@@ -167,7 +160,6 @@ class Executor {
   obs::Counter local_pops_;
   obs::Counter steals_;
   obs::Counter failed_steals_;
-  obs::Gauge queue_depth_gauge_;  ///< mirrors queued_, lock-free read
 };
 
 }  // namespace hwstar::exec

@@ -6,16 +6,6 @@
 
 namespace hwstar::kv {
 
-namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
-}  // namespace
-
-KvStore::ShardStats::Lane& KvStore::ShardStats::MyLane() {
-  static std::atomic<uint32_t> next{0};
-  thread_local uint32_t lane = next.fetch_add(1, kRelaxed) % kLanes;
-  return lanes[lane];
-}
-
 KvStore::KvStore(KvOptions options) : options_(options) {
   HWSTAR_CHECK(bits::IsPowerOfTwo(options_.shards));
   const uint32_t shard_bits = bits::Log2Floor(options_.shards);
@@ -38,7 +28,7 @@ KvStore::KvStore(KvOptions options) : options_(options) {
 void KvStore::Put(uint64_t key, uint64_t value) {
   Shard& shard = *shards_[ShardOf(key)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.stats.MyLane().puts.fetch_add(1, kRelaxed);
+  puts_.Inc();
   if (options_.index == IndexKind::kArt) {
     shard.art.Insert(key, value);
   } else {
@@ -52,19 +42,18 @@ bool KvStore::Delete(uint64_t key) {
   const bool erased = options_.index == IndexKind::kArt
                           ? shard.art.Erase(key)
                           : shard.btree->Erase(key);
-  if (erased) shard.stats.MyLane().deletes.fetch_add(1, kRelaxed);
+  if (erased) deletes_.Inc();
   return erased;
 }
 
 Result<uint64_t> KvStore::Get(uint64_t key) {
   Shard& shard = *shards_[ShardOf(key)];
-  ShardStats::Lane& lane = shard.stats.MyLane();
-  lane.gets.fetch_add(1, kRelaxed);
+  gets_.Inc();
   uint64_t value = 0;
   bool found = false;
   if (options_.latch_free_reads) {
     // Latch-free point read: optimistic descent, no shared cache line is
-    // written (the stat lanes above are striped). ART descents pin an
+    // written (the stat counter above is sharded). ART descents pin an
     // epoch so a racing Erase cannot free a node out from under them;
     // the B+-tree never frees nodes, so its descent needs no pin.
     if (options_.index == IndexKind::kArt) {
@@ -79,7 +68,7 @@ Result<uint64_t> KvStore::Get(uint64_t key) {
                                               : shard.btree->Find(key, &value);
   }
   if (!found) return Status::NotFound("key not found");
-  lane.hits.fetch_add(1, kRelaxed);
+  hits_.Inc();
   return value;
 }
 
@@ -100,29 +89,24 @@ void KvStore::MultiGet(const uint64_t* keys, size_t count, uint64_t* values,
     // acquisition (never one per key) otherwise.
     Shard& shard = *shards_[s];
     bool* run_found = found == nullptr ? nullptr : found + i;
-    // 0 forwards to the calibrated tune::ProbeGroupSize knob inside the
-    // kernel; a nonzero KvOptions::probe_group pins this store's width.
-    const uint32_t group = options_.probe_group;
+    // The kernels' group width is the calibrated tune::ProbeGroupSize knob.
     size_t hits = 0;
     if (options_.latch_free_reads) {
       if (options_.index == IndexKind::kArt) {
         sync::EpochManager::Guard guard;
-        hits = shard.art.FindBatch(keys + i, run, values + i, run_found, group);
+        hits = shard.art.FindBatch(keys + i, run, values + i, run_found);
       } else {
-        hits =
-            shard.btree->FindBatch(keys + i, run, values + i, run_found, group);
+        hits = shard.btree->FindBatch(keys + i, run, values + i, run_found);
       }
     } else {
       std::lock_guard<std::mutex> lock(shard.mutex);
       hits = options_.index == IndexKind::kArt
-                 ? shard.art.FindBatch(keys + i, run, values + i, run_found,
-                                       group)
-                 : shard.btree->FindBatch(keys + i, run, values + i, run_found,
-                                          group);
+                 ? shard.art.FindBatch(keys + i, run, values + i, run_found)
+                 : shard.btree->FindBatch(keys + i, run, values + i,
+                                          run_found);
     }
-    ShardStats::Lane& lane = shard.stats.MyLane();
-    lane.gets.fetch_add(run, kRelaxed);
-    lane.hits.fetch_add(hits, kRelaxed);
+    gets_.Add(run);
+    hits_.Add(hits);
     i = end;
   }
 }
@@ -143,7 +127,7 @@ uint64_t KvStore::RangeScanLimit(uint64_t lo, uint64_t hi, uint64_t limit,
   const uint32_t last = ShardOf(hi);
   for (uint32_t s = first; s <= last; ++s) {
     Shard& shard = *shards_[s];
-    shard.stats.MyLane().scans.fetch_add(1, kRelaxed);
+    scans_.Inc();
     if (options_.index == IndexKind::kBTree && options_.latch_free_reads) {
       // The B-link tree's optimistic scan validates per leaf and never
       // frees nodes, so it needs neither the latch nor an epoch guard --
@@ -178,7 +162,7 @@ uint64_t KvStore::RangeScanEntries(
   const uint32_t last = ShardOf(hi);
   for (uint32_t s = first; s <= last; ++s) {
     Shard& shard = *shards_[s];
-    shard.stats.MyLane().scans.fetch_add(1, kRelaxed);
+    scans_.Inc();
     if (options_.index == IndexKind::kBTree && options_.latch_free_reads) {
       count += shard.btree->RangeScanEntriesOptimistic(lo, hi, out);
     } else {
@@ -206,19 +190,22 @@ uint64_t KvStore::size() const {
 KvStats KvStore::stats() const {
   // Lock-free: counters are relaxed atomics, so a snapshot can be taken
   // while writers hold shard latches and latch-free readers stream past
-  // them (the concurrency the svc layer's metrics poller exercises
-  // continuously).
+  // them. Readers want monotonic counters, not a consistent cut.
   KvStats total;
-  for (const auto& shard : shards_) {
-    for (const ShardStats::Lane& lane : shard->stats.lanes) {
-      total.gets += lane.gets.load(kRelaxed);
-      total.puts += lane.puts.load(kRelaxed);
-      total.hits += lane.hits.load(kRelaxed);
-      total.scans += lane.scans.load(kRelaxed);
-      total.deletes += lane.deletes.load(kRelaxed);
-    }
-  }
+  total.gets = gets_.value();
+  total.puts = puts_.value();
+  total.hits = hits_.value();
+  total.scans = scans_.value();
+  total.deletes = deletes_.value();
   return total;
+}
+
+void KvStore::RegisterMetrics(obs::Registry* registry) const {
+  registry->RegisterCounter("kv.gets", &gets_);
+  registry->RegisterCounter("kv.puts", &puts_);
+  registry->RegisterCounter("kv.hits", &hits_);
+  registry->RegisterCounter("kv.scans", &scans_);
+  registry->RegisterCounter("kv.deletes", &deletes_);
 }
 
 }  // namespace hwstar::kv

@@ -1,7 +1,6 @@
 #ifndef HWSTAR_KV_KV_STORE_H_
 #define HWSTAR_KV_KV_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -9,6 +8,8 @@
 #include <vector>
 
 #include "hwstar/common/status.h"
+#include "hwstar/obs/metric.h"
+#include "hwstar/obs/registry.h"
 #include "hwstar/ops/art.h"
 #include "hwstar/ops/btree.h"
 
@@ -37,11 +38,6 @@ struct KvOptions {
   /// False restores fully latched reads (the pre-sync behavior; E20
   /// benchmarks the two against each other).
   bool latch_free_reads = true;
-  /// Group width for the batched probe kernels MultiGet runs. 0 (the
-  /// default) reads the calibrated tune::ProbeGroupSize knob per batch —
-  /// a Calibrator install reaches running stores; nonzero pins this
-  /// store's width (e.g. a store whose footprint the operator knows).
-  uint32_t probe_group = 0;
 };
 
 /// Operation counters (a point-in-time snapshot; see KvStore::stats()).
@@ -80,7 +76,7 @@ class KvStore {
   /// Point read; NotFound when absent. With latch_free_reads (default)
   /// this never touches the shard latch: the descent is optimistic and
   /// restarts on writer interference, and stat counters are bumped on
-  /// lane-striped relaxed atomics.
+  /// per-thread shards of obs counters.
   Result<uint64_t> Get(uint64_t key);
 
   /// Batched point reads: fills values[i] (the value, or 0 on a miss)
@@ -135,33 +131,15 @@ class KvStore {
   KvStats stats() const;
   const KvOptions& options() const { return options_; }
 
- private:
-  /// Per-shard, lane-striped counters: bumped without the shard latch by
-  /// latch-free readers and latched writers alike. Threads hash to
-  /// cache-line-padded lanes, so concurrent Gets against one hot shard
-  /// do not all fetch_add the same cache line (which would serialize the
-  /// very readers the latch-free path unshackles). stats() sums every
-  /// lane with relaxed loads -- the readers want monotonic counters, not
-  /// a consistent cut.
-  struct ShardStats {
-    static constexpr uint32_t kLanes = 8;
-    struct alignas(64) Lane {
-      std::atomic<uint64_t> gets{0};
-      std::atomic<uint64_t> puts{0};
-      std::atomic<uint64_t> hits{0};
-      std::atomic<uint64_t> scans{0};
-      std::atomic<uint64_t> deletes{0};
-    };
-    Lane lanes[kLanes];
-    /// The calling thread's lane (assigned round-robin on first use).
-    Lane& MyLane();
-  };
+  /// Registers the operation counters (borrowed) as
+  /// "kv.gets|puts|hits|scans|deletes".
+  void RegisterMetrics(obs::Registry* registry) const;
 
+ private:
   struct Shard {
     std::mutex mutex;
     ops::AdaptiveRadixTree art;
     std::unique_ptr<ops::BPlusTree> btree;
-    ShardStats stats;
   };
 
   uint32_t ShardOf(uint64_t key) const {
@@ -171,6 +149,16 @@ class KvStore {
   KvOptions options_;
   uint32_t shard_shift_;
   std::vector<std::unique_ptr<Shard>> shards_;
+
+  // Store-wide, bumped without the shard latch by latch-free readers and
+  // latched writers alike. obs::Counter shards per thread, so concurrent
+  // Gets do not all fetch_add one cache line (which would serialize the
+  // very readers the latch-free path unshackles).
+  obs::Counter gets_;
+  obs::Counter puts_;
+  obs::Counter hits_;
+  obs::Counter scans_;
+  obs::Counter deletes_;
 };
 
 }  // namespace hwstar::kv

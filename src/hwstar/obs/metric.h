@@ -46,23 +46,6 @@ class Counter {
   std::unique_ptr<Shard[]> shards_;
 };
 
-/// A last-writer-wins instantaneous value (queue depth, in-flight count).
-/// Single atomic: gauges are written at state transitions, not per-sample,
-/// so sharding would only blur the point-in-time reading. Thread-safe.
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> v_{0};
-};
-
 }  // namespace hwstar::obs
 
 #endif  // HWSTAR_OBS_METRIC_H_

@@ -1,107 +1,47 @@
 #include "hwstar/obs/registry.h"
 
+#include <cinttypes>
 #include <cstdio>
 
 #include "hwstar/common/macros.h"
 
 namespace hwstar::obs {
 
-Registry::Entry* Registry::Lookup(const std::string& name, Kind kind) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) return nullptr;
-  HWSTAR_CHECK(it->second.kind == kind);  // one name, one kind
-  return &it->second;
-}
-
-Counter* Registry::GetCounter(const std::string& name) {
+void Registry::Register(const std::string& name, Entry entry) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (Entry* e = Lookup(name, Kind::kCounter)) {
-    HWSTAR_CHECK(e->owned != nullptr);  // can't hand out a borrowed metric
-    return const_cast<Counter*>(e->counter);
-  }
-  auto owned = std::make_shared<Counter>();
-  Counter* raw = owned.get();
-  entries_[name] = Entry{Kind::kCounter, raw, nullptr, nullptr,
-                         std::move(owned)};
-  return raw;
-}
-
-Gauge* Registry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (Entry* e = Lookup(name, Kind::kGauge)) {
-    HWSTAR_CHECK(e->owned != nullptr);
-    return const_cast<Gauge*>(e->gauge);
-  }
-  auto owned = std::make_shared<Gauge>();
-  Gauge* raw = owned.get();
-  entries_[name] = Entry{Kind::kGauge, nullptr, raw, nullptr,
-                         std::move(owned)};
-  return raw;
-}
-
-Histogram* Registry::GetHistogram(const std::string& name,
-                                  HistogramOptions options) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (Entry* e = Lookup(name, Kind::kHistogram)) {
-    HWSTAR_CHECK(e->owned != nullptr);
-    return const_cast<Histogram*>(e->histogram);
-  }
-  auto owned = std::make_shared<Histogram>(options);
-  Histogram* raw = owned.get();
-  entries_[name] = Entry{Kind::kHistogram, nullptr, nullptr, raw,
-                         std::move(owned)};
-  return raw;
+  HWSTAR_CHECK(entries_.emplace(name, entry).second);  // one name, one metric
 }
 
 void Registry::RegisterCounter(const std::string& name,
                                const Counter* counter) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  HWSTAR_CHECK(entries_.find(name) == entries_.end());
-  entries_[name] = Entry{Kind::kCounter, counter, nullptr, nullptr, nullptr};
-}
-
-void Registry::RegisterGauge(const std::string& name, const Gauge* gauge) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  HWSTAR_CHECK(entries_.find(name) == entries_.end());
-  entries_[name] = Entry{Kind::kGauge, nullptr, gauge, nullptr, nullptr};
+  Register(name, Entry{counter, nullptr});
 }
 
 void Registry::RegisterHistogram(const std::string& name,
                                  const Histogram* histogram) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  HWSTAR_CHECK(entries_.find(name) == entries_.end());
-  entries_[name] =
-      Entry{Kind::kHistogram, nullptr, nullptr, histogram, nullptr};
+  Register(name, Entry{nullptr, histogram});
 }
 
 std::string Registry::DumpText() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out;
-  char buf[256];
+  // Only the numbers go through a fixed buffer; the name is appended as a
+  // string, so no name length can truncate a line (or drop its newline).
+  char buf[192];
   for (const auto& [name, entry] : entries_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        std::snprintf(buf, sizeof(buf), "counter %s %llu\n", name.c_str(),
-                      static_cast<unsigned long long>(entry.counter->value()));
-        break;
-      case Kind::kGauge:
-        std::snprintf(buf, sizeof(buf), "gauge %s %lld\n", name.c_str(),
-                      static_cast<long long>(entry.gauge->value()));
-        break;
-      case Kind::kHistogram: {
-        const HistogramSnapshot snap = entry.histogram->Snapshot();
-        std::snprintf(
-            buf, sizeof(buf),
-            "histogram %s count=%llu p50=%llu p90=%llu p99=%llu max=%llu "
-            "mean=%.1f\n",
-            name.c_str(), static_cast<unsigned long long>(snap.count()),
-            static_cast<unsigned long long>(snap.Quantile(0.50)),
-            static_cast<unsigned long long>(snap.Quantile(0.90)),
-            static_cast<unsigned long long>(snap.Quantile(0.99)),
-            static_cast<unsigned long long>(snap.max()), snap.mean());
-        break;
-      }
+    if (entry.counter != nullptr) {
+      std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", entry.counter->value());
+      out += "counter ";
+    } else {
+      const HistogramSnapshot snap = entry.histogram->Snapshot();
+      std::snprintf(buf, sizeof(buf),
+                    " count=%" PRIu64 " p50=%" PRIu64 " p90=%" PRIu64
+                    " p99=%" PRIu64 " max=%" PRIu64 " mean=%.1f\n",
+                    snap.count(), snap.Quantile(0.50), snap.Quantile(0.90),
+                    snap.Quantile(0.99), snap.max(), snap.mean());
+      out += "histogram ";
     }
+    out += name;
     out += buf;
   }
   return out;

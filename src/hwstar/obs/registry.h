@@ -2,7 +2,6 @@
 #define HWSTAR_OBS_REGISTRY_H_
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -11,53 +10,41 @@
 
 namespace hwstar::obs {
 
-/// A named catalogue of counters, gauges and histograms with a plain-text
-/// exposition (DumpText). Two usage modes:
-///
-///  - Owning: GetCounter/GetGauge/GetHistogram create-or-return a metric
-///    the registry owns; pointers stay valid for the registry's lifetime.
-///  - Borrowed: Register* attaches a metric some component already owns
-///    (a thread pool's task counter, a recorder's histograms) so it shows
-///    up in DumpText without copying values around. The component must
-///    outlive the registry's use of it.
+/// A named catalogue of counters and histograms with a plain-text
+/// exposition (DumpText). The registry owns nothing: each component keeps
+/// its metrics as members and attaches them here through its
+/// `RegisterMetrics(Registry*) const`, so a scrape reads the live values
+/// without copying them around. A component must outlive the registry's
+/// use of it.
 ///
 /// Registration and dumping take a mutex; they are off the hot path — the
-/// metrics themselves stay lock-free. Re-registering a name with a
-/// different kind is a programmer error (checked).
+/// metrics themselves stay lock-free. One name maps to one metric:
+/// registering a taken name (of either kind) is a programmer error
+/// (checked).
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name,
-                          HistogramOptions options = {});
-
   void RegisterCounter(const std::string& name, const Counter* counter);
-  void RegisterGauge(const std::string& name, const Gauge* gauge);
   void RegisterHistogram(const std::string& name, const Histogram* histogram);
 
   /// One line per metric, sorted by name:
   ///   counter <name> <value>
-  ///   gauge <name> <value>
   ///   histogram <name> count=N p50=... p90=... p99=... max=... mean=...
   std::string DumpText() const;
 
   size_t size() const;
 
  private:
-  enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
+  /// Exactly one of the two is set.
   struct Entry {
-    Kind kind;
     const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
     const Histogram* histogram = nullptr;
-    std::shared_ptr<void> owned;  ///< null for borrowed registrations
   };
 
-  Entry* Lookup(const std::string& name, Kind kind);
+  void Register(const std::string& name, Entry entry);
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;

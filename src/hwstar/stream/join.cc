@@ -68,7 +68,7 @@ void StreamTableJoin::Apply(uint32_t partition, StreamBatch* batch) {
     size_t pass_rows[kProbeChunk];
     for (size_t base = 0; base < n; base += kProbeChunk) {
       const size_t m = n - base < kProbeChunk ? n - base : kProbeChunk;
-      bloom_->MayContainBatch(keys + base, m, may, options_.probe_group_size);
+      bloom_->MayContainBatch(keys + base, m, may);
       size_t live = 0;
       for (size_t j = 0; j < m; ++j) {
         if (!may[j]) continue;
@@ -79,13 +79,11 @@ void StreamTableJoin::Apply(uint32_t partition, StreamBatch* batch) {
       if (live == 0) continue;
       table_.ProbeBatch(
           pass_keys, live,
-          [&](size_t j, uint64_t payload) { emit(pass_rows[j], payload); },
-          options_.probe_group_size);
+          [&](size_t j, uint64_t payload) { emit(pass_rows[j], payload); });
     }
   } else {
-    table_.ProbeBatch(
-        keys, n, [&](size_t i, uint64_t payload) { emit(i, payload); },
-        options_.probe_group_size);
+    table_.ProbeBatch(keys, n,
+                      [&](size_t i, uint64_t payload) { emit(i, payload); });
   }
 
   batch->AdoptRows(&out);

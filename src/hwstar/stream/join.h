@@ -43,8 +43,6 @@ struct StreamJoinOptions {
     /// Prefilter probes through a blocked Bloom filter over the build
     /// keys; worth it when the stream mostly misses the build side.
     bool bloom_prefilter = false;
-    /// Batched-kernel group size (0 = the tune::ProbeGroupSize knob).
-    uint32_t probe_group_size = 0;
     /// Build-table load factor (LinearProbeTable).
     double load_factor = 0.5;
 };

@@ -54,7 +54,8 @@ Service::Service(ServiceOptions options, kv::KvStore* kv)
                   : std::make_shared<StepDownOverloadPolicy>()),
       queue_(options_.admission),
       batcher_(MakeBatcherOptions(options_, kv)) {
-  RegisterMetrics();
+  RegisterMetrics(&registry_);
+  if (kv_ != nullptr) kv_->RegisterMetrics(&registry_);
   const uint32_t n = WorkerCount(options_);
   workers_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -69,6 +70,8 @@ Service::Service(ServiceOptions options, dur::DurableKvStore* durable)
   // body runs on the submitting side.
   durable_ = durable;
   txn_mgr_ = std::make_unique<txn::TxnManager>(durable);
+  durable->RegisterMetrics(&registry_);
+  txn_mgr_->RegisterMetrics(&registry_);
 }
 
 Service::~Service() {
@@ -79,23 +82,22 @@ Service::~Service() {
   HWSTAR_CHECK(accepted_.load() == finished_.load());
 }
 
-void Service::RegisterMetrics() {
-  for (Phase phase : {Phase::kAdmitWait, Phase::kBatchWait, Phase::kExec,
-                      Phase::kTotal, Phase::kWal}) {
-    registry_.RegisterHistogram(
-        std::string("svc.latency.") + PhaseName(phase),
-        &latencies_.histogram(phase));
-  }
-  registry_.RegisterCounter("svc.completed", &completed_);
+void Service::RegisterMetrics(obs::Registry* registry) const {
+  registry->RegisterHistogram("svc.latency.admit_wait", &admit_wait_);
+  registry->RegisterHistogram("svc.latency.batch_wait", &batch_wait_);
+  registry->RegisterHistogram("svc.latency.exec", &exec_);
+  registry->RegisterHistogram("svc.latency.wal_sync", &wal_sync_);
+  registry->RegisterHistogram("svc.latency.total", &total_);
+  registry->RegisterCounter("svc.completed", &completed_);
   for (uint32_t i = 0; i < kNumRequestTypes; ++i) {
-    registry_.RegisterCounter(
+    registry->RegisterCounter(
         std::string("svc.completed.") +
             RequestTypeName(static_cast<RequestType>(i)),
         &completed_by_type_[i]);
   }
-  registry_.RegisterCounter("svc.degraded", &degraded_);
-  registry_.RegisterCounter("svc.batches", &batches_);
-  registry_.RegisterCounter("svc.batched_requests", &batched_requests_);
+  registry->RegisterCounter("svc.degraded", &degraded_);
+  registry->RegisterCounter("svc.batches", &batches_);
+  registry->RegisterCounter("svc.batched_requests", &batched_requests_);
 }
 
 std::future<Response> Service::Submit(Request request) {
@@ -431,7 +433,11 @@ void Service::Complete(TicketPtr ticket, Response response,
   lat.batch_wait_nanos = exec_start - ticket->admit_nanos;
   lat.exec_nanos = exec_nanos;
   lat.total_nanos = now - ticket->submit_nanos;
-  latencies_.Record(lat);
+  admit_wait_.Record(lat.admit_wait_nanos);
+  batch_wait_.Record(lat.batch_wait_nanos);
+  exec_.Record(lat.exec_nanos);
+  total_.Record(lat.total_nanos);
+  if (lat.wal_nanos != 0) wal_sync_.Record(lat.wal_nanos);
   if (response.degraded) degraded_.Inc();
   completed_.Inc();
   const auto type_idx = static_cast<uint32_t>(ticket->request.type);
@@ -472,16 +478,12 @@ ServiceMetrics Service::metrics() const {
   m.degraded = degraded_.value();
   m.batches = batches_.value();
   m.batched_requests = batched_requests_.value();
-  m.admit_wait = latencies_.Snapshot(Phase::kAdmitWait);
-  m.batch_wait = latencies_.Snapshot(Phase::kBatchWait);
-  m.exec = latencies_.Snapshot(Phase::kExec);
-  m.wal = latencies_.Snapshot(Phase::kWal);
-  m.total = latencies_.Snapshot(Phase::kTotal);
+  m.admit_wait = admit_wait_.Snapshot();
+  m.batch_wait = batch_wait_.Snapshot();
+  m.exec = exec_.Snapshot();
+  m.wal = wal_sync_.Snapshot();
+  m.total = total_.Snapshot();
   return m;
-}
-
-void Service::PrintReport(const std::string& title) const {
-  MetricsReport(title, metrics()).Print();
 }
 
 std::string Service::DumpMetricsText() const {

@@ -11,11 +11,12 @@
 #include <utility>
 #include <vector>
 
-#include "hwstar/obs/registry.h"
 #include "hwstar/kv/kv_store.h"
+#include "hwstar/obs/histogram.h"
+#include "hwstar/obs/metric.h"
+#include "hwstar/obs/registry.h"
 #include "hwstar/svc/admission.h"
 #include "hwstar/svc/batcher.h"
-#include "hwstar/svc/metrics.h"
 #include "hwstar/svc/overload_policy.h"
 #include "hwstar/svc/request.h"
 
@@ -59,6 +60,39 @@ struct ServiceOptions {
   /// bounds like any other Set. Unknown names are a construction error
   /// (a typo'd config should fail loudly, not silently not-tune).
   std::vector<std::pair<std::string, uint64_t>> tunables;
+};
+
+/// A point-in-time view of the service: admission outcomes, batch
+/// amortization, and per-phase latency histograms (nanoseconds; quantiles
+/// within the obs bucket error bound of the exact nearest-rank value).
+struct ServiceMetrics {
+  AdmissionStats admission;
+  uint64_t completed = 0;
+  /// Completions by request type (indexed by RequestType).
+  uint64_t completed_by_type[kNumRequestTypes] = {};
+  uint64_t degraded = 0;  ///< completed but clamped/downgraded
+  uint64_t batches = 0;
+  uint64_t batched_requests = 0;
+  obs::HistogramSnapshot admit_wait;
+  obs::HistogramSnapshot batch_wait;
+  obs::HistogramSnapshot exec;
+  /// Group-commit wait, sampled only for requests that waited on the WAL,
+  /// so it describes the commit path, not a sea of zeros from reads.
+  obs::HistogramSnapshot wal;
+  obs::HistogramSnapshot total;
+
+  double mean_batch_size() const {
+    return batches == 0 ? 0.0
+                        : static_cast<double>(batched_requests) /
+                              static_cast<double>(batches);
+  }
+  /// Fraction of submitted requests shed (any reason).
+  double shed_rate() const {
+    return admission.submitted == 0
+               ? 0.0
+               : static_cast<double>(admission.shed_total()) /
+                     static_cast<double>(admission.submitted);
+  }
 };
 
 /// The hardware-conscious request-serving front end: clients submit typed
@@ -109,14 +143,13 @@ class Service {
   /// Point-in-time metrics snapshot.
   ServiceMetrics metrics() const;
 
-  /// Prints the metrics through perf::ReportTable.
-  void PrintReport(const std::string& title) const;
-
-  /// Text exposition of every registered service metric (latency
-  /// histograms, completion and batch counters) — the
-  /// scrape-style view of the obs registry — followed by the current
-  /// tunable values, so a scrape records the knob configuration that
-  /// produced the numbers next to the numbers themselves.
+  /// Text exposition of every registered metric — the scrape-style view
+  /// of the obs registry: the service's latency histograms and
+  /// completion/batch counters (`svc.*`), the kv store's (`kv.*`) and,
+  /// when durable, the WAL shards' (`dur.wal.<shard>.*`) and the
+  /// transaction manager's (`txn.*`) — followed by the current tunable
+  /// values, so a scrape records the knob configuration that produced the
+  /// numbers next to the numbers themselves.
   std::string DumpMetricsText() const;
 
   /// Text exposition of just the tunable registry (name, current value,
@@ -147,7 +180,7 @@ class Service {
   /// rejected submits); the lock is only touched at the caught-up edge, so
   /// the steady-state completion path stays mutex-free.
   void NotifyIfDrained();
-  void RegisterMetrics();
+  void RegisterMetrics(obs::Registry* registry) const;
 
   ServiceOptions options_;
   kv::KvStore* kv_;
@@ -170,8 +203,14 @@ class Service {
   obs::Counter degraded_;
   obs::Counter batches_;
   obs::Counter batched_requests_;
-  LatencyRecorder latencies_;
-  obs::Registry registry_;  ///< borrowed views of the metrics above
+  /// LatencyBreakdown phases, registered as svc.latency.<phase>.
+  obs::Histogram admit_wait_;
+  obs::Histogram batch_wait_;
+  obs::Histogram exec_;
+  obs::Histogram wal_sync_;  ///< only requests with wal_nanos != 0
+  obs::Histogram total_;
+  /// Borrowed views of the metrics above and of the backing stores'.
+  obs::Registry registry_;
 
   mutable std::mutex drain_mutex_;
   std::condition_variable drain_cv_;

@@ -18,7 +18,7 @@ TxnManager::TxnManager(dur::DurableKvStore* db, TxnOptions options)
 }
 
 Transaction TxnManager::Begin() {
-  begun_.fetch_add(1, std::memory_order_relaxed);
+  begun_.Inc();
   return Transaction(this);
 }
 
@@ -31,12 +31,20 @@ uint32_t TxnManager::StripeOf(uint64_t key) const {
 
 TxnStats TxnManager::stats() const {
   TxnStats s;
-  s.begun = begun_.load(std::memory_order_relaxed);
-  s.committed = committed_.load(std::memory_order_relaxed);
-  s.aborted_lock = aborted_lock_.load(std::memory_order_relaxed);
-  s.aborted_validation = aborted_validation_.load(std::memory_order_relaxed);
-  s.aborted_doomed = aborted_doomed_.load(std::memory_order_relaxed);
+  s.begun = begun_.value();
+  s.committed = committed_.value();
+  s.aborted_lock = aborted_lock_.value();
+  s.aborted_validation = aborted_validation_.value();
+  s.aborted_doomed = aborted_doomed_.value();
   return s;
+}
+
+void TxnManager::RegisterMetrics(obs::Registry* registry) const {
+  registry->RegisterCounter("txn.begun", &begun_);
+  registry->RegisterCounter("txn.committed", &committed_);
+  registry->RegisterCounter("txn.aborted.lock", &aborted_lock_);
+  registry->RegisterCounter("txn.aborted.validation", &aborted_validation_);
+  registry->RegisterCounter("txn.aborted.doomed", &aborted_doomed_);
 }
 
 Status Transaction::Get(uint64_t key, uint64_t* value, bool* found) {
@@ -103,7 +111,7 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
   finished_ = true;
 
   if (doomed_) {
-    mgr_->aborted_doomed_.fetch_add(1, std::memory_order_relaxed);
+    mgr_->aborted_doomed_.Inc();
     return Status::Aborted("transaction doomed before commit");
   }
 
@@ -113,11 +121,11 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
   if (write_set_.empty()) {
     for (const auto& [stripe, version] : read_set_) {
       if (mgr_->stripes_[stripe].Version() != version) {
-        mgr_->aborted_validation_.fetch_add(1, std::memory_order_relaxed);
+        mgr_->aborted_validation_.Inc();
         return Status::Aborted("read-set validation failed");
       }
     }
-    mgr_->committed_.fetch_add(1, std::memory_order_relaxed);
+    mgr_->committed_.Inc();
     return Status::OK();
   }
 
@@ -151,7 +159,7 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
     for (size_t i = 0; i < acquired; ++i) {
       mgr_->stripes_[lock_order[i]].WriteUnlockAborted();
     }
-    mgr_->aborted_lock_.fetch_add(1, std::memory_order_relaxed);
+    mgr_->aborted_lock_.Inc();
     return Status::Aborted("write-set stripe lock timed out");
   }
 
@@ -169,7 +177,7 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
       for (uint32_t s : lock_order) {
         mgr_->stripes_[s].WriteUnlockAborted();
       }
-      mgr_->aborted_validation_.fetch_add(1, std::memory_order_relaxed);
+      mgr_->aborted_validation_.Inc();
       return Status::Aborted("read-set validation failed");
     }
   }
@@ -195,7 +203,7 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
     mgr_->stripes_[s].WriteUnlock();
   }
   if (!st.ok()) return st;  // WAL poisoned; effects applied, ack withheld
-  mgr_->committed_.fetch_add(1, std::memory_order_relaxed);
+  mgr_->committed_.Inc();
   return Status::OK();
 }
 
@@ -206,7 +214,7 @@ void Transaction::Abort() {
 }
 
 void Transaction::Reset() {
-  mgr_->begun_.fetch_add(1, std::memory_order_relaxed);
+  mgr_->begun_.Inc();
   doomed_ = false;
   finished_ = false;
   read_set_.clear();

@@ -1,7 +1,6 @@
 #ifndef HWSTAR_TXN_TRANSACTION_H_
 #define HWSTAR_TXN_TRANSACTION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -10,6 +9,8 @@
 
 #include "hwstar/common/status.h"
 #include "hwstar/dur/durable_kv_store.h"
+#include "hwstar/obs/metric.h"
+#include "hwstar/obs/registry.h"
 #include "hwstar/sync/optlock.h"
 
 namespace hwstar::txn {
@@ -76,6 +77,10 @@ class TxnManager {
   /// Snapshot of commit/abort counters (racy reads, exact under quiesce).
   TxnStats stats() const;
 
+  /// Registers the TxnStats counters (borrowed) as "txn.begun",
+  /// "txn.committed" and "txn.aborted.lock|validation|doomed".
+  void RegisterMetrics(obs::Registry* registry) const;
+
   uint32_t StripeOf(uint64_t key) const;
 
   dur::DurableKvStore* db() { return db_; }
@@ -89,11 +94,11 @@ class TxnManager {
   const uint32_t stripe_mask_;
   std::unique_ptr<sync::OptLock[]> stripes_;
 
-  std::atomic<uint64_t> begun_{0};
-  std::atomic<uint64_t> committed_{0};
-  std::atomic<uint64_t> aborted_lock_{0};
-  std::atomic<uint64_t> aborted_validation_{0};
-  std::atomic<uint64_t> aborted_doomed_{0};
+  obs::Counter begun_;
+  obs::Counter committed_;
+  obs::Counter aborted_lock_;
+  obs::Counter aborted_validation_;
+  obs::Counter aborted_doomed_;
 };
 
 /// One optimistic transaction: reads validate against stripe versions,

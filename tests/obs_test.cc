@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -186,49 +187,69 @@ TEST(CounterTest, ConcurrentAddsAreExact) {
   EXPECT_EQ(c.value(), kThreads * kPerThread);
 }
 
-TEST(GaugeTest, SetAddValue) {
-  Gauge g;
-  EXPECT_EQ(g.value(), 0);
-  g.Set(42);
-  EXPECT_EQ(g.value(), 42);
-  g.Add(-50);
-  EXPECT_EQ(g.value(), -8);
-}
-
 // --- Registry --------------------------------------------------------------
 
-TEST(RegistryTest, OwningGetReturnsSameMetricByName) {
+TEST(RegistryTest, RegisteredMetricReadsLiveByName) {
   Registry r;
-  Counter* c = r.GetCounter("requests");
-  c->Add(3);
-  EXPECT_EQ(r.GetCounter("requests"), c);
-  EXPECT_EQ(r.GetCounter("requests")->value(), 3u);
-  Histogram* h = r.GetHistogram("latency");
-  EXPECT_EQ(r.GetHistogram("latency"), h);
+  Counter c;
+  Histogram h;
+  r.RegisterCounter("requests", &c);
+  r.RegisterHistogram("latency", &h);
+  c.Add(3);
+  EXPECT_NE(r.DumpText().find("counter requests 3\n"), std::string::npos);
   EXPECT_EQ(r.size(), 2u);
 }
 
-TEST(RegistryTest, DumpTextRendersOwnedAndBorrowed) {
+// One name, one metric: a second registration under a taken name is a
+// programmer error, whichever kind either one is.
+TEST(RegistryDeathTest, RegisteringATakenNameDies) {
   Registry r;
-  r.GetCounter("owned.counter")->Add(3);
-  r.GetGauge("owned.gauge")->Set(-2);
-  r.GetHistogram("owned.hist")->Record(5);
+  Counter c;
+  Histogram h;
+  r.RegisterCounter("taken", &c);
+  EXPECT_DEATH(r.RegisterHistogram("taken", &h), "HWSTAR_CHECK failed");
+  EXPECT_DEATH(r.RegisterCounter("taken", &c), "HWSTAR_CHECK failed");
+}
 
-  Counter borrowed;
-  borrowed.Add(7);
-  r.RegisterCounter("borrowed.counter", &borrowed);
+TEST(RegistryTest, DumpTextRendersCountersAndHistograms) {
+  Registry r;
+  Counter counter;
+  counter.Add(7);
+  Histogram hist;
+  hist.Record(5);
+  r.RegisterCounter("some.counter", &counter);
+  r.RegisterHistogram("some.hist", &hist);
 
   const std::string text = r.DumpText();
-  EXPECT_NE(text.find("counter owned.counter 3\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("gauge owned.gauge -2\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("histogram owned.hist count=1"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("counter borrowed.counter 7\n"), std::string::npos)
+  EXPECT_NE(text.find("counter some.counter 7\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("histogram some.hist count=1 p50=5"), std::string::npos)
       << text;
   // Borrowed metrics are live views: later updates show in the next dump.
-  borrowed.Add(1);
-  EXPECT_NE(r.DumpText().find("counter borrowed.counter 8\n"),
+  counter.Add(1);
+  EXPECT_NE(r.DumpText().find("counter some.counter 8\n"),
             std::string::npos);
+}
+
+// A long name (a user-named stream pipeline's histogram, say) once ran
+// past a fixed 256-byte line buffer: the line was cut and its newline
+// dropped, fusing it with the next line of the scrape.
+TEST(RegistryTest, DumpTextKeepsLongNamesWhole) {
+  Registry r;
+  Counter after;
+  after.Add(2);
+  Histogram hist;
+  hist.Record(9);
+  const std::string name = "a." + std::string(300, 'x');
+  r.RegisterHistogram(name, &hist);
+  r.RegisterCounter("b.after", &after);
+
+  const std::string text = r.DumpText();
+  EXPECT_NE(text.find("histogram " + name + " count=1 p50=9 p90=9 p99=9 "
+                      "max=9 mean=9.0\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\ncounter b.after 2\n"), std::string::npos) << text;
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
 }
 
 // --- Concurrency (the TSan target) -----------------------------------------
@@ -297,25 +318,37 @@ TEST(HistogramConcurrencyTest, ConcurrentRecordAndSnapshot) {
   }
 }
 
-TEST(RegistryConcurrencyTest, ConcurrentGetRecordAndDump) {
+// Recorders bump borrowed metrics while they dump and while other
+// threads register more: registration and dumping share the registry's
+// mutex, the metrics themselves stay lock-free.
+TEST(RegistryConcurrencyTest, ConcurrentRegisterRecordAndDump) {
   Registry r;
+  Counter shared_counter;
+  Histogram shared_hist;
+  r.RegisterCounter("shared.counter", &shared_counter);
+  r.RegisterHistogram("shared.hist", &shared_hist);
   constexpr int kThreads = 4;
   constexpr int kIters = 2000;
+  Counter own[kThreads];
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&r] {
+    threads.emplace_back([&, t] {
+      r.RegisterCounter("own." + std::to_string(t), &own[t]);
       for (int i = 0; i < kIters; ++i) {
-        r.GetCounter("shared.counter")->Inc();
-        r.GetHistogram("shared.hist")->Record(static_cast<uint64_t>(i));
+        shared_counter.Inc();
+        shared_hist.Record(static_cast<uint64_t>(i));
+        own[t].Inc();
         if (i % 256 == 0) (void)r.DumpText();
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(r.GetCounter("shared.counter")->value(),
-            static_cast<uint64_t>(kThreads * kIters));
-  EXPECT_EQ(r.GetHistogram("shared.hist")->count(),
-            static_cast<uint64_t>(kThreads * kIters));
+  EXPECT_EQ(shared_counter.value(), static_cast<uint64_t>(kThreads * kIters));
+  EXPECT_EQ(shared_hist.count(), static_cast<uint64_t>(kThreads * kIters));
+  EXPECT_EQ(r.size(), static_cast<size_t>(2 + kThreads));
+  EXPECT_NE(r.DumpText().find("counter shared.counter " +
+                              std::to_string(kThreads * kIters) + "\n"),
+            std::string::npos);
 }
 
 }  // namespace

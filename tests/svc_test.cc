@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -480,7 +481,7 @@ TEST(ServiceTest, DurablePutsFlowThroughWalAndSurviveReopen) {
     EXPECT_EQ(service.Call(Request::PointGet(5)).value, 1005u);
 
     const ServiceMetrics m = service.metrics();
-    EXPECT_EQ(m.wal.count, 256u);
+    EXPECT_EQ(m.wal.count(), 256u);
     EXPECT_GT(m.mean_batch_size(), 1.0);
     // Batching must show up in the log too: fewer syncs than puts.
     EXPECT_LT(db.value()->log_stats().groups,
@@ -526,7 +527,7 @@ TEST(ServiceTest, MultiThreadedOpenLoopSmoke) {
   const ServiceMetrics m = service.metrics();
   EXPECT_EQ(m.completed, static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(m.admission.shed_total(), 0u);
-  EXPECT_EQ(m.total.count, m.completed);
+  EXPECT_EQ(m.total.count(), m.completed);
 }
 
 TEST(ServiceTest, OverloadShedsInsteadOfQueueingUnbounded) {
@@ -632,32 +633,94 @@ TEST(AdmissionQueueTest, ShutdownRejectionsCountedSeparately) {
   EXPECT_EQ(stats.shed_total(), 1u);     // but totals still include it
 }
 
-// The nearest-rank off-by-one: idx = q*size made p99 of exactly 100
-// samples return the max (index 99) instead of the 99th smallest
-// (ceil(0.99*100)-1 = index 98). Values 1..100 sit in unit-width
-// histogram buckets, so the recorder must reproduce them exactly.
-TEST(LatencyRecorderTest, QuantilesUseNearestRankDefinition) {
-  LatencyRecorder recorder;
-  for (uint64_t i = 1; i <= 100; ++i) {
-    LatencyBreakdown b;
-    b.admit_wait_nanos = i;
-    b.batch_wait_nanos = i;
-    b.exec_nanos = i;
-    b.total_nanos = i;
-    recorder.Record(b);
+// The number after the first scrape line that starts with `prefix`
+// (e.g. "counter kv.puts " or "histogram svc.latency.total count="), or -1
+// when no line does.
+int64_t Scraped(const std::string& text, const std::string& prefix) {
+  const std::string padded = "\n" + text;
+  const size_t at = padded.find("\n" + prefix);
+  if (at == std::string::npos) return -1;
+  return std::stoll(padded.substr(at + 1 + prefix.size()));
+}
+
+// The wal_sync phase samples only requests that waited on the WAL, so its
+// percentiles describe the group-commit path, not a sea of zeros from
+// reads.
+TEST(ServiceTest, WalSyncPhaseSamplesOnlyRequestsThatWaited) {
+  kv::KvStore store;
+  store.Put(1, 10);
+  {
+    Service service(NoDegradeOptions(), &store);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(service.Call(Request::PointGet(1)).status.ok());
+    }
+    service.Drain();
+    const std::string text = service.DumpMetricsText();
+    EXPECT_EQ(Scraped(text, "histogram svc.latency.wal_sync count="), 0)
+        << text;
+    EXPECT_EQ(Scraped(text, "histogram svc.latency.total count="), 5) << text;
   }
-  const LatencySnapshot s = recorder.Snapshot(Phase::kTotal);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_EQ(s.p50, 50u);
-  EXPECT_EQ(s.p90, 90u);
-  EXPECT_EQ(s.p99, 99u);  // was 100 (the max) before the fix
-  EXPECT_EQ(s.max, 100u);
-  EXPECT_DOUBLE_EQ(s.mean, 50.5);
-  EXPECT_EQ(recorder.count(), 100u);
-  // Phases share the recording path.
-  EXPECT_EQ(recorder.Snapshot(Phase::kExec).p99, 99u);
-  // No WAL samples were recorded (wal_nanos == 0 throughout).
-  EXPECT_EQ(recorder.Snapshot(Phase::kWal).count, 0u);
+
+  dur::InMemoryFileBackend fs;
+  dur::DurableKvOptions dopts;
+  dopts.log.fsync_interval_us = 5;
+  auto db = dur::DurableKvStore::Open(&fs, "db", dopts);
+  ASSERT_TRUE(db.ok());
+  Service service(NoDegradeOptions(), db.value().get());
+  const Response put = service.Call(Request::Put(1, 10));
+  ASSERT_TRUE(put.status.ok());
+  EXPECT_GT(put.latency.wal_nanos, 0u);
+  ASSERT_TRUE(service.Call(Request::PointGet(1)).status.ok());
+  service.Drain();
+  const ServiceMetrics m = service.metrics();
+  EXPECT_EQ(m.wal.count(), 1u);
+  EXPECT_EQ(m.total.count(), 2u);
+  EXPECT_EQ(Scraped(service.DumpMetricsText(),
+                    "histogram svc.latency.wal_sync count="),
+            1);
+}
+
+// One durable-service scrape covers every layer a request crosses: svc,
+// the kv store, the WAL shards and the transaction manager, each line a
+// live view of the component's own counters.
+TEST(ServiceTest, DurableScrapeCoversSvcKvDurAndTxn) {
+  dur::InMemoryFileBackend fs;
+  dur::DurableKvOptions dopts;
+  dopts.log.fsync_interval_us = 5;
+  auto db = dur::DurableKvStore::Open(&fs, "db", dopts);
+  ASSERT_TRUE(db.ok());
+  Service service(NoDegradeOptions(), db.value().get());
+
+  for (uint64_t k = 0; k < 16; ++k) {
+    ASSERT_TRUE(service.Call(Request::Put(k, k)).status.ok());
+  }
+  int64_t committed = 0;
+  for (uint64_t k = 0; k < 8; ++k) {
+    const Response r = service.Call(Request::Txn(
+        {{TxnOp::Kind::kAdd, k, 1}, {TxnOp::Kind::kPut, 100 + k, k}}));
+    if (r.status.ok()) ++committed;
+  }
+  EXPECT_EQ(committed, 8);  // one client: nothing to conflict with
+  service.Drain();
+
+  const std::string text = service.DumpMetricsText();
+  const kv::KvStats kv = db.value()->kv()->stats();
+  EXPECT_EQ(Scraped(text, "counter svc.completed "), 24) << text;
+  EXPECT_EQ(Scraped(text, "counter kv.puts "), static_cast<int64_t>(kv.puts))
+      << text;
+  EXPECT_EQ(Scraped(text, "counter kv.gets "), static_cast<int64_t>(kv.gets))
+      << text;
+  EXPECT_EQ(kv.puts, 32u);  // 16 plain puts + two writes per txn
+  // Each OK kTxn response is one TxnManager commit.
+  EXPECT_EQ(Scraped(text, "counter txn.committed "), committed) << text;
+  EXPECT_EQ(Scraped(text, "counter txn.aborted.validation "), 0) << text;
+  EXPECT_EQ(Scraped(text, "counter dur.wal.0.records "),
+            static_cast<int64_t>(db.value()->log_stats().records))
+      << text;
+  EXPECT_GT(Scraped(text, "histogram dur.wal.0.sync_latency_ns count="), 0)
+      << text;
+  EXPECT_GT(Scraped(text, "histogram dur.wal.0.sync_batch count="), 0)
+      << text;
 }
 
 // Drain is now a condition-variable wait (no 100 µs busy-poll). It must
