@@ -1,5 +1,6 @@
 #include "hwstar/dur/durable_kv_store.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <limits>
@@ -62,44 +63,14 @@ Result<std::unique_ptr<DurableKvStore>> DurableKvStore::Open(
 
 Status DurableKvStore::Put(uint64_t key, uint64_t value,
                            uint64_t* wal_wait_nanos) {
-  LogShard& ls = *logs_[LogShardOf(key)];
-  uint64_t lsn = 0;
-  {
-    std::lock_guard<std::mutex> lock(ls.apply_mutex);
-    WalRecord record;
-    record.type = WalRecordType::kPut;
-    record.key = key;
-    record.value = value;
-    auto appended = ls.writer->Append(record);
-    if (!appended.ok()) return appended.status();
-    lsn = appended.value();
-    store_.Put(key, value);
-  }
-  const uint64_t start = NowNanos();
-  const Status st = ls.writer->WaitDurable(lsn);
-  if (wal_wait_nanos != nullptr) *wal_wait_nanos = NowNanos() - start;
-  return st;
+  const WriteOp op{key, value, false};
+  return MutateBatch(&op, 1, wal_wait_nanos);
 }
 
 Status DurableKvStore::Delete(uint64_t key, bool* erased,
                               uint64_t* wal_wait_nanos) {
-  LogShard& ls = *logs_[LogShardOf(key)];
-  uint64_t lsn = 0;
-  {
-    std::lock_guard<std::mutex> lock(ls.apply_mutex);
-    WalRecord record;
-    record.type = WalRecordType::kDelete;
-    record.key = key;
-    auto appended = ls.writer->Append(record);
-    if (!appended.ok()) return appended.status();
-    lsn = appended.value();
-    const bool was_present = store_.Delete(key);
-    if (erased != nullptr) *erased = was_present;
-  }
-  const uint64_t start = NowNanos();
-  const Status st = ls.writer->WaitDurable(lsn);
-  if (wal_wait_nanos != nullptr) *wal_wait_nanos = NowNanos() - start;
-  return st;
+  const WriteOp op{key, 0, true};
+  return MutateBatch(&op, 1, wal_wait_nanos, erased);
 }
 
 Status DurableKvStore::PutBatch(const uint64_t* keys, const uint64_t* values,
@@ -115,13 +86,15 @@ Status DurableKvStore::PutBatch(const uint64_t* keys, const uint64_t* values,
 Status DurableKvStore::MutateBatch(const WriteOp* ops, size_t count,
                                    uint64_t* wal_wait_nanos, bool* erased) {
   if (wal_wait_nanos != nullptr) *wal_wait_nanos = 0;
+  // Every slot is answered even when an Append fails part-way.
+  if (erased != nullptr) std::fill(erased, erased + count, false);
   if (count == 0) return Status::OK();
 
   // Highest LSN staged per log shard this batch; 0 = untouched.
   std::vector<uint64_t> pending(logs_.size(), 0);
 
-  // Stage+apply by contiguous same-shard run. The svc batcher sorts its
-  // write batches by key, so for sorted input each log shard's mutex is
+  // Stage+apply by contiguous same-shard run. svc::GroupSelector sorts its
+  // write groups by key, so for sorted input each log shard's mutex is
   // taken once per batch, not once per record.
   size_t i = 0;
   while (i < count) {
@@ -139,28 +112,15 @@ Status DurableKvStore::MutateBatch(const WriteOp* ops, size_t count,
       auto appended = ls.writer->Append(record);
       if (!appended.ok()) return appended.status();
       pending[shard] = appended.value();
-      bool was_present = false;
-      if (ops[k].is_delete) {
-        was_present = store_.Delete(ops[k].key);
-      } else {
+      if (!ops[k].is_delete) {
         store_.Put(ops[k].key, ops[k].value);
+      } else if (store_.Delete(ops[k].key) && erased != nullptr) {
+        erased[k] = true;
       }
-      if (erased != nullptr) erased[k] = ops[k].is_delete && was_present;
     }
     i = j;
   }
-
-  // One commit wait per touched shard, whatever the batch size — every
-  // record staged above rides the same sync.
-  const uint64_t start = NowNanos();
-  Status result = Status::OK();
-  for (size_t shard = 0; shard < logs_.size(); ++shard) {
-    if (pending[shard] == 0) continue;
-    const Status st = logs_[shard]->writer->WaitDurable(pending[shard]);
-    if (!st.ok() && result.ok()) result = st;
-  }
-  if (wal_wait_nanos != nullptr) *wal_wait_nanos = NowNanos() - start;
-  return result;
+  return WaitPending(pending, wal_wait_nanos);
 }
 
 Status DurableKvStore::CommitTxn(uint64_t tid, const WriteOp* ops,
@@ -226,10 +186,17 @@ Status DurableKvStore::CommitTxn(uint64_t tid, const WriteOp* ops,
     pending[lowest_shard] = appended.value();
   }
 
-  // Group-commit wait outside the gate, one per touched shard. Durability
-  // of the commit record is what makes the transaction durable; fragments
-  // in other shards are waited too so the ack implies the whole write-set
-  // is replayable, not just provably-aborted.
+  // Group-commit wait outside the gate. Durability of the commit record
+  // is what makes the transaction durable; fragments in other shards are
+  // waited too so the ack implies the whole write-set is replayable, not
+  // just provably-aborted.
+  return WaitPending(pending, wal_wait_nanos);
+}
+
+Status DurableKvStore::WaitPending(const std::vector<uint64_t>& pending,
+                                   uint64_t* wal_wait_nanos) {
+  // One commit wait per touched shard, whatever the batch size — every
+  // record staged there rides the same sync.
   const uint64_t start = NowNanos();
   Status result = Status::OK();
   for (size_t shard = 0; shard < logs_.size(); ++shard) {

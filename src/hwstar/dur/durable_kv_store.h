@@ -65,32 +65,32 @@ class DurableKvStore {
   DurableKvStore(const DurableKvStore&) = delete;
   DurableKvStore& operator=(const DurableKvStore&) = delete;
 
-  /// Durable upsert. Returns once the record is durable at the configured
-  /// sync level. `wal_wait_nanos` (optional) receives the time this call
-  /// spent blocked on the commit — the group-commit latency the svc
-  /// metrics report as the wal phase.
+  /// Durable upsert: a one-op MutateBatch. Returns once the record is
+  /// durable at the configured sync level. `wal_wait_nanos` (optional)
+  /// receives the time this call spent blocked on the commit — the
+  /// group-commit latency the svc metrics report as the wal phase.
   Status Put(uint64_t key, uint64_t value, uint64_t* wal_wait_nanos = nullptr);
 
-  /// Durable erase (logged as a tombstone whether or not the key exists —
-  /// existence is only known under the latch, and replaying a no-op
-  /// delete is harmless). `erased` (optional) reports whether the key was
-  /// present.
+  /// Durable erase, a one-op MutateBatch (logged as a tombstone whether or
+  /// not the key exists — existence is only known under the latch, and
+  /// replaying a no-op delete is harmless). `erased` (optional) reports
+  /// whether the key was present.
   Status Delete(uint64_t key, bool* erased = nullptr,
                 uint64_t* wal_wait_nanos = nullptr);
 
   /// Durable multi-put: stages and applies every record, then waits for
   /// all of them at once — one wait per touched log shard regardless of
-  /// batch size. This is the path the svc batcher drives.
+  /// batch size.
   Status PutBatch(const uint64_t* keys, const uint64_t* values, size_t count,
                   uint64_t* wal_wait_nanos = nullptr);
 
-  /// Durable mixed put/delete batch, same group-commit shape as PutBatch.
-  /// Ops on an equal key must be adjacent and in intended order (the svc
-  /// batcher's never-split rule guarantees this); ops apply in array
-  /// order, so a put followed by a delete of the same key ends deleted.
-  /// `erased`, when non-null, is a count-sized array receiving each
-  /// delete op's "key was present" flag (put slots are set to false), so
-  /// a batched delete answers exactly like a singleton Delete.
+  /// Durable mixed put/delete batch, same group-commit shape as PutBatch;
+  /// svc drives every durable write group through it. Ops apply in array
+  /// order, so a put followed by a delete of the same key ends deleted
+  /// (svc::GroupSelector's stable key sort keeps equal-key ops in
+  /// submission order). `erased`, when non-null, is a count-sized array
+  /// receiving each delete op's "key was present" flag; put slots, and
+  /// every slot when the call fails, are set to false.
   Status MutateBatch(const WriteOp* ops, size_t count,
                      uint64_t* wal_wait_nanos = nullptr,
                      bool* erased = nullptr);
@@ -156,6 +156,12 @@ class DurableKvStore {
   uint32_t LogShardOf(uint64_t key) const {
     return log_shift_ >= 64 ? 0 : static_cast<uint32_t>(key >> log_shift_);
   }
+
+  /// Waits for every log shard's `pending` LSN (0 = untouched) to be
+  /// durable; returns the first error. `wal_wait_nanos` (optional)
+  /// receives the time spent waiting.
+  Status WaitPending(const std::vector<uint64_t>& pending,
+                     uint64_t* wal_wait_nanos);
 
   FileBackend* backend_;
   const std::string prefix_;

@@ -109,7 +109,6 @@
 
 // Request-serving front end.
 #include "hwstar/svc/admission.h"
-#include "hwstar/svc/batcher.h"
 #include "hwstar/svc/overload_policy.h"
 #include "hwstar/svc/request.h"
 #include "hwstar/svc/service.h"

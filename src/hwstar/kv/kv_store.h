@@ -90,7 +90,7 @@ class KvStore {
   /// (default) a run never takes the shard latch -- the batch kernel's
   /// whole-group optimistic descent restarts on writer interference;
   /// otherwise the run takes the latch once (not once per key). Callers
-  /// that group keys by shard (the svc batcher sorts its get-batches
+  /// that group keys by shard (svc::GroupSelector orders its get groups
   /// exactly this way) amortize index-root and miss-latency costs across
   /// the whole batch.
   void MultiGet(const uint64_t* keys, size_t count, uint64_t* values,
@@ -131,6 +131,12 @@ class KvStore {
   KvStats stats() const;
   const KvOptions& options() const { return options_; }
 
+  /// The shard holding `key`: shards partition the key space by range
+  /// (high key bits).
+  uint32_t ShardOf(uint64_t key) const {
+    return shard_shift_ >= 64 ? 0 : static_cast<uint32_t>(key >> shard_shift_);
+  }
+
   /// Registers the operation counters (borrowed) as
   /// "kv.gets|puts|hits|scans|deletes".
   void RegisterMetrics(obs::Registry* registry) const;
@@ -141,10 +147,6 @@ class KvStore {
     ops::AdaptiveRadixTree art;
     std::unique_ptr<ops::BPlusTree> btree;
   };
-
-  uint32_t ShardOf(uint64_t key) const {
-    return shard_shift_ >= 64 ? 0 : static_cast<uint32_t>(key >> shard_shift_);
-  }
 
   KvOptions options_;
   uint32_t shard_shift_;

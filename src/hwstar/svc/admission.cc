@@ -1,8 +1,93 @@
 #include "hwstar/svc/admission.h"
 
+#include <algorithm>
 #include <chrono>
 
+#include "hwstar/kv/kv_store.h"
+
 namespace hwstar::svc {
+
+namespace {
+
+/// The group kind a request joins: deletes share the write group (a put
+/// and a delete on one key are an ordered pair exactly like two puts).
+RequestType BatchKind(RequestType type) {
+  return type == RequestType::kDelete ? RequestType::kPut : type;
+}
+
+bool Batchable(RequestType kind) {
+  return kind == RequestType::kPointGet || kind == RequestType::kPut ||
+         kind == RequestType::kAggregate;
+}
+
+/// The key a point-get or write operates on.
+uint64_t KeyOf(const Request& r) {
+  switch (r.type) {
+    case RequestType::kPointGet:
+      return r.get.key;
+    case RequestType::kDelete:
+      return r.del.key;
+    default:
+      return r.put.key;
+  }
+}
+
+}  // namespace
+
+GroupSelector::GroupSelector(const kv::KvStore* kv, uint32_t max_batch)
+    : kv_(kv), max_batch_(max_batch == 0 ? 1 : max_batch) {}
+
+void GroupSelector::Reset() {
+  size_ = 0;
+  write_keys_.clear();
+}
+
+bool GroupSelector::Take(const Ticket& ticket) {
+  const Request& r = ticket.request;
+  if (size_ == 0) {
+    kind_ = BatchKind(r.type);
+    id_ = BatchId(r);
+  } else if (!Claims(ticket) && (!Room() || BatchKind(r.type) != kind_ ||
+                                 BatchId(r) != id_)) {
+    return false;
+  }
+  if (kind_ == RequestType::kPut) write_keys_.push_back(KeyOf(r));
+  ++size_;
+  return true;
+}
+
+bool GroupSelector::Open() const {
+  return Room() || kind_ == RequestType::kPut;
+}
+
+bool GroupSelector::Room() const {
+  return size_ == 0 || (Batchable(kind_) && size_ < max_batch_);
+}
+
+bool GroupSelector::Claims(const Ticket& ticket) const {
+  const Request& r = ticket.request;
+  return size_ > 0 && kind_ == RequestType::kPut &&
+         BatchKind(r.type) == RequestType::kPut &&
+         std::find(write_keys_.begin(), write_keys_.end(), KeyOf(r)) !=
+             write_keys_.end();
+}
+
+void GroupSelector::Order(std::vector<TicketPtr>* group) const {
+  if (kind_ != RequestType::kPointGet && kind_ != RequestType::kPut) return;
+  std::stable_sort(group->begin(), group->end(),
+                   [](const TicketPtr& a, const TicketPtr& b) {
+                     return KeyOf(a->request) < KeyOf(b->request);
+                   });
+}
+
+/// Which group of its kind a request may join: its kv shard, or for an
+/// aggregate its target store.
+uintptr_t GroupSelector::BatchId(const Request& r) const {
+  if (r.type == RequestType::kAggregate) {
+    return reinterpret_cast<uintptr_t>(r.agg.store);
+  }
+  return kv_ == nullptr ? 0 : kv_->ShardOf(KeyOf(r));
+}
 
 AdmissionQueue::AdmissionQueue(AdmissionOptions options)
     : options_(options) {}
@@ -66,7 +151,7 @@ Status AdmissionQueue::TryAdmit(TicketPtr& ticket, Priority min_priority) {
 }
 
 bool AdmissionQueue::PopGroup(std::vector<TicketPtr>* out,
-                              TicketSelector* selector, uint32_t scan,
+                              GroupSelector* selector, uint32_t scan,
                               uint64_t linger_nanos) {
   std::unique_lock<std::mutex> lock(mutex_);
   ++idle_poppers_;
@@ -95,7 +180,7 @@ bool AdmissionQueue::PopGroup(std::vector<TicketPtr>* out,
   return true;
 }
 
-void AdmissionQueue::TakeLocked(TicketSelector* selector, uint32_t scan,
+void AdmissionQueue::TakeLocked(GroupSelector* selector, uint32_t scan,
                                 std::vector<TicketPtr>* out) {
   // Highest priority first, FIFO within each priority. Taken tickets leave
   // holes that the kept ones close up, in order, before one erase.

@@ -13,6 +13,10 @@
 
 #include "hwstar/svc/request.h"
 
+namespace hwstar::kv {
+class KvStore;
+}  // namespace hwstar::kv
+
 namespace hwstar::svc {
 
 /// Admission bounds. Every bound set to 0 disables that check; with all
@@ -58,25 +62,62 @@ struct Ticket {
 
 using TicketPtr = std::unique_ptr<Ticket>;
 
-/// Chooses which queued tickets one pop takes (svc::GroupSelector applies
-/// the Batcher's rules). Tickets are offered in pop order — highest
-/// priority first, FIFO within a priority — and the first one offered to
-/// a fresh selector heads the group.
-class TicketSelector {
+/// The one batching rule: chooses which queued tickets one pop takes as a
+/// group, and the order the group executes in. Tickets are offered in pop
+/// order — highest priority first, FIFO within a priority — and the first
+/// one offered to a fresh (or Reset) selector heads the group.
+///
+/// A later ticket joins iff it batches with the head — a point-get or a
+/// write (put or delete) on the head's kv shard, an aggregate on the
+/// head's store — while the group holds fewer than max_batch tickets, so
+/// per-request fixed costs (dispatch, index-root misses, the WAL wait)
+/// amortize over the group. A write whose key is already in the group
+/// joins even past max_batch, and while the group's pop lingers no other
+/// pop takes it: the never-split rule, so an equal-key run never lands in
+/// two groups that could run concurrently and apply out of order. Scans,
+/// joins and transactions head a group of one (coarse-grained work; a
+/// transaction serializes itself via validation, not batch placement).
+///
+/// Grouping never changes results: every request executes with its own
+/// arguments, so batched output is bit-identical to one-at-a-time.
+class GroupSelector {
  public:
-  virtual ~TicketSelector() = default;
+  /// `kv` maps keys to shards with the store's own range mapping (null
+  /// puts every key on shard 0). `max_batch` caps a group (0 means 1).
+  GroupSelector(const kv::KvStore* kv, uint32_t max_batch);
+
+  /// Forgets the current group; the next ticket offered heads a new one.
+  void Reset();
+
   /// True to move `ticket` out of the queue into the group.
-  virtual bool Take(const Ticket& ticket) = 0;
+  bool Take(const Ticket& ticket);
   /// True while a later ticket could still be taken: a pop stops scanning
-  /// once this turns false.
-  virtual bool Open() const = 0;
+  /// once this turns false. A full write group still takes its keys'
+  /// later writes.
+  bool Open() const;
   /// True while the group has room for more batch-mates: a pop lingers
   /// only then.
-  virtual bool Room() const { return Open(); }
-  /// True if `ticket` must join this group and no other (a later write to
-  /// a key the group writes). While this selector's pop lingers, other
-  /// pops leave such tickets queued for it.
-  virtual bool Claims(const Ticket&) const { return false; }
+  bool Room() const;
+  /// True if `ticket` must join this group and no other: a write (put or
+  /// delete) to a key the group already writes. While this selector's pop
+  /// lingers, other pops leave such tickets queued for it.
+  bool Claims(const Ticket& ticket) const;
+
+  /// Puts a popped group in execution order: point-gets and writes
+  /// STABLE-sorted by key — a MultiGet walks the index with monotone keys
+  /// and a write group takes each WAL shard mutex once, while two writes
+  /// to one key keep submission order — and anything else as popped.
+  void Order(std::vector<TicketPtr>* group) const;
+
+ private:
+  uintptr_t BatchId(const Request& r) const;
+
+  const kv::KvStore* kv_;
+  uint32_t max_batch_;
+  uint32_t size_ = 0;  ///< tickets taken; 0 = no head yet
+  RequestType kind_ = RequestType::kPointGet;  ///< kPut for any write
+  uintptr_t id_ = 0;  ///< the head's kv shard or aggregate store
+  std::vector<uint64_t> write_keys_;  ///< keys of the writes taken
 };
 
 /// A bounded, priority-ordered MPMC admission queue: the "never
@@ -98,7 +139,8 @@ class AdmissionQueue {
 
   /// Pops one group into `out`, blocking until a ticket is queued or
   /// Close() was called. The queue offers its first `scan` tickets to
-  /// `selector` (which takes the head) and moves out the ones it takes.
+  /// `selector` (which takes the head) and moves out, in pop order, the
+  /// ones it takes.
   /// While the selector has Room, `linger_nanos` > 0 and no other pop is
   /// lingering, the pop then lingers up to that long — ended early by
   /// Close() or by `scan` tickets queueing up — and offers the queue once
@@ -109,7 +151,7 @@ class AdmissionQueue {
   /// lingering selector Claims is left to it, so a later write to a key
   /// the group holds cannot overtake the group's earlier one.
   /// Returns false once closed and nothing is left for this pop.
-  bool PopGroup(std::vector<TicketPtr>* out, TicketSelector* selector,
+  bool PopGroup(std::vector<TicketPtr>* out, GroupSelector* selector,
                 uint32_t scan, uint64_t linger_nanos);
 
   /// Wakes poppers; subsequent TryAdmit calls are rejected.
@@ -134,14 +176,14 @@ class AdmissionQueue {
   /// Offers the first `scan` queued tickets — skipping those the lingering
   /// pop claims, unless `selector` is that pop's — to `selector` and moves
   /// the taken ones into `out`; the rest keep their order. Holds mutex_.
-  void TakeLocked(TicketSelector* selector, uint32_t scan,
+  void TakeLocked(GroupSelector* selector, uint32_t scan,
                   std::vector<TicketPtr>* out);
 
   mutable std::mutex mutex_;
   std::condition_variable idle_cv_;    ///< poppers waiting for any ticket
   std::condition_variable linger_cv_;  ///< the popper lingering for mates
   uint32_t idle_poppers_ = 0;
-  TicketSelector* lingerer_ = nullptr;  ///< the lingering pop's selector
+  GroupSelector* lingerer_ = nullptr;  ///< the lingering pop's selector
   uint32_t claimed_ = 0;  ///< queued tickets lingerer_ Claims
   /// Depth that cuts the linger short (the lingering pop's `scan`).
   uint32_t linger_until_depth_ = 0;

@@ -25,14 +25,6 @@ ServiceOptions ApplyTunables(ServiceOptions options) {
   return options;
 }
 
-BatcherOptions MakeBatcherOptions(const ServiceOptions& options,
-                                  kv::KvStore* kv) {
-  BatcherOptions b;
-  b.max_batch = options.max_batch == 0 ? 1 : options.max_batch;
-  b.kv_shards = kv != nullptr ? kv->options().shards : 1;
-  return b;
-}
-
 // Each worker holds at most one popped group, so capping the worker count
 // at max_pending_batches caps the groups popped but not yet finished.
 uint32_t WorkerCount(const ServiceOptions& options) {
@@ -52,8 +44,7 @@ Service::Service(ServiceOptions options, kv::KvStore* kv)
       policy_(options_.policy != nullptr
                   ? options_.policy
                   : std::make_shared<StepDownOverloadPolicy>()),
-      queue_(options_.admission),
-      batcher_(MakeBatcherOptions(options_, kv)) {
+      queue_(options_.admission) {
   RegisterMetrics(&registry_);
   if (kv_ != nullptr) kv_->RegisterMetrics(&registry_);
   const uint32_t n = WorkerCount(options_);
@@ -142,7 +133,7 @@ void Service::NotifyIfDrained() {
 }
 
 void Service::WorkerLoop() {
-  GroupSelector selector(&batcher_);
+  GroupSelector selector(kv_, options_.max_batch);
   std::vector<TicketPtr> group;
   for (;;) {
     selector.Reset();
@@ -170,32 +161,31 @@ void Service::WorkerLoop() {
       }
     }
     group.resize(live);
+    if (group.empty()) continue;
 
-    for (Batch& batch : batcher_.Group(std::move(group))) {
-      batches_.Inc();
-      batched_requests_.Add(batch.tickets.size());
-      ExecuteBatch(&batch);
-    }
+    selector.Order(&group);
+    batches_.Inc();
+    batched_requests_.Add(group.size());
+    ExecuteBatch(&group);
   }
 }
 
-void Service::ExecuteBatch(Batch* batch) {
-  const OverloadSignals sig = signals();
+void Service::ExecuteBatch(std::vector<TicketPtr>* group) {
+  const RequestType type = group->front()->request.type;
+  const size_t n = group->size();
 
-  if (batch->type == RequestType::kPointGet && kv_ != nullptr &&
-      batch->tickets.size() > 1) {
+  if (type == RequestType::kPointGet && kv_ != nullptr && n > 1) {
     // The batched fast path: one MultiGet resolves the whole (same-shard,
-    // key-sorted) batch under a single latch acquisition, and MultiGet in
-    // turn serves the run through the index's batched probe kernel
-    // (ops/probe_kernels.h) so the batch's index-descent cache misses
-    // overlap instead of serializing.
+    // key-sorted) group, latch-free by default, through the index's
+    // batched probe kernel (ops/probe_kernels.h), so the group's
+    // index-descent cache misses overlap instead of serializing. A lone
+    // get stays on Get.
     const uint64_t exec_start = ServiceNow();
-    const size_t n = batch->tickets.size();
     std::vector<uint64_t> keys(n);
     std::vector<uint64_t> values(n);
     std::unique_ptr<bool[]> found(new bool[n]);
     for (size_t i = 0; i < n; ++i) {
-      keys[i] = batch->tickets[i]->request.get.key;
+      keys[i] = (*group)[i]->request.get.key;
     }
     kv_->MultiGet(keys.data(), n, values.data(), found.get());
     const uint64_t exec_nanos = ServiceNow() - exec_start;
@@ -208,24 +198,22 @@ void Service::ExecuteBatch(Batch* batch) {
         // clients (the bit-identical invariant svc_test checks).
         r.status = Status::NotFound("key not found");
       }
-      Complete(std::move(batch->tickets[i]), std::move(r), exec_start,
-               exec_nanos);
+      Complete(std::move((*group)[i]), std::move(r), exec_start, exec_nanos);
     }
     return;
   }
 
-  if (batch->type == RequestType::kPut && durable_ != nullptr &&
-      batch->tickets.size() > 1) {
-    // The durable fast path: the whole (same-shard, key-sorted, mixed
-    // put/delete) write batch is staged in the WAL and rides ONE
-    // group-commit wait — the service's batching and the log's fsync
-    // amortization compound here.
+  if ((type == RequestType::kPut || type == RequestType::kDelete) &&
+      durable_ != nullptr) {
+    // Every durable write group, singletons included: the whole
+    // (same-shard, key-sorted, mixed put/delete) group is staged in the
+    // WAL and rides ONE group-commit wait — the service's batching and the
+    // log's fsync amortization compound here.
     const uint64_t exec_start = ServiceNow();
-    const size_t n = batch->tickets.size();
     std::vector<dur::WriteOp> ops(n);
     std::unique_ptr<bool[]> erased(new bool[n]);
     for (size_t i = 0; i < n; ++i) {
-      const Request& req = batch->tickets[i]->request;
+      const Request& req = (*group)[i]->request;
       if (req.type == RequestType::kDelete) {
         ops[i] = dur::WriteOp{req.del.key, 0, true};
       } else {
@@ -241,23 +229,21 @@ void Service::ExecuteBatch(Batch* batch) {
       r.status = st;
       if (ops[i].is_delete) r.value = erased[i] ? 1 : 0;
       r.latency.wal_nanos = wal_wait_nanos;
-      Complete(std::move(batch->tickets[i]), std::move(r), exec_start,
-               exec_nanos);
+      Complete(std::move((*group)[i]), std::move(r), exec_start, exec_nanos);
     }
     return;
   }
 
-  for (auto& t : batch->tickets) {
+  for (auto& t : *group) {
     const uint64_t exec_start = ServiceNow();
     Response r;
-    ExecuteOne(t->request, sig, &r);
+    ExecuteOne(t->request, &r);
     const uint64_t exec_nanos = ServiceNow() - exec_start;
     Complete(std::move(t), std::move(r), exec_start, exec_nanos);
   }
 }
 
-void Service::ExecuteOne(const Request& request,
-                         const OverloadSignals& signals, Response* response) {
+void Service::ExecuteOne(const Request& request, Response* response) {
   switch (request.type) {
     case RequestType::kPointGet: {
       if (kv_ == nullptr) {
@@ -273,34 +259,22 @@ void Service::ExecuteOne(const Request& request,
       }
       return;
     }
-    case RequestType::kPut: {
-      if (durable_ != nullptr) {
-        response->status = durable_->Put(request.put.key, request.put.value,
-                                         &response->latency.wal_nanos);
-        return;
-      }
+    case RequestType::kPut: {  // volatile: durable writes take MutateBatch
       if (kv_ == nullptr) {
         response->status =
             Status::FailedPrecondition("no kv backend configured");
         return;
       }
-      kv_->Put(request.put.key, request.put.value);  // volatile service
+      kv_->Put(request.put.key, request.put.value);
       return;
     }
-    case RequestType::kDelete: {
-      if (durable_ != nullptr) {
-        bool erased = false;
-        response->status = durable_->Delete(request.del.key, &erased,
-                                            &response->latency.wal_nanos);
-        response->value = erased ? 1 : 0;
-        return;
-      }
+    case RequestType::kDelete: {  // volatile, like kPut
       if (kv_ == nullptr) {
         response->status =
             Status::FailedPrecondition("no kv backend configured");
         return;
       }
-      response->value = kv_->Delete(request.del.key) ? 1 : 0;  // volatile
+      response->value = kv_->Delete(request.del.key) ? 1 : 0;
       return;
     }
     case RequestType::kTxn: {
@@ -371,7 +345,10 @@ void Service::ExecuteOne(const Request& request,
             Status::FailedPrecondition("no kv backend configured");
         return;
       }
-      const uint64_t limit = policy_->ScanLimit(signals, request.scan.limit);
+      // Load signals take the admission mutex: read them only here and
+      // for joins, the two request types the policy degrades.
+      const uint64_t limit =
+          policy_->ScanLimit(signals(), request.scan.limit);
       response->degraded = limit != request.scan.limit;
       kv_->RangeScanLimit(request.scan.lo, request.scan.hi, limit,
                           &response->rows);
@@ -383,7 +360,8 @@ void Service::ExecuteOne(const Request& request,
         return;
       }
       engine::JoinExecuteOptions jopts;
-      jopts.algorithm = policy_->JoinAlgorithm(signals, request.join.algorithm);
+      jopts.algorithm =
+          policy_->JoinAlgorithm(signals(), request.join.algorithm);
       response->degraded = jopts.algorithm != request.join.algorithm;
       // Morsels run serially inside this worker: parallelism here comes
       // from concurrent requests across the service's workers.

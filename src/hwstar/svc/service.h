@@ -16,7 +16,6 @@
 #include "hwstar/obs/metric.h"
 #include "hwstar/obs/registry.h"
 #include "hwstar/svc/admission.h"
-#include "hwstar/svc/batcher.h"
 #include "hwstar/svc/overload_policy.h"
 #include "hwstar/svc/request.h"
 
@@ -32,7 +31,8 @@ namespace hwstar::svc {
 
 struct ServiceOptions {
   AdmissionOptions admission;
-  /// max_batch for the batcher; kv_shards is taken from the backing store.
+  /// Most requests one group (one executed batch) holds; 0 means 1. An
+  /// equal-key write run may grow a write group past it (GroupSelector).
   uint32_t max_batch = 64;
   /// Worker threads that pop, group and execute requests (the cores the
   /// service owns; 0 = hardware concurrency).
@@ -102,9 +102,9 @@ struct ServiceMetrics {
 /// workers sized to the machine, and accounts every request's life
 /// phase-by-phase so p50/p99 and shed rate are first-class outputs.
 ///
-/// Pipeline: Submit → AdmissionQueue → worker (pop one group, linger up
-/// to the batch window, Batcher, execute inline) → KvStore /
-/// engine::ExecuteJoin. A request crosses one thread hand-off, client to
+/// Pipeline: Submit → AdmissionQueue → worker (pop one GroupSelector group,
+/// linger up to the batch window, execute it inline as one batch) →
+/// KvStore / DurableKvStore / engine::ExecuteJoin. A request crosses one thread hand-off, client to
 /// worker; backpressure is workers not popping.
 class Service {
  public:
@@ -116,9 +116,9 @@ class Service {
 
   /// Durable variant: reads go straight to `durable->kv()`; puts and
   /// deletes flow through the WAL's group commit, so a write's future
-  /// resolving OK means it survives a crash. The write batches the svc
-  /// batcher builds (same-shard, key-sorted) commit with one WAL wait per
-  /// batch — the service's batching and the log's group commit compound.
+  /// resolving OK means it survives a crash. Every write group (same-shard,
+  /// key-sorted) commits through one MutateBatch, one WAL wait per group —
+  /// the service's batching and the log's group commit compound.
   /// kTxn requests are served too (a TxnManager is constructed over the
   /// store); on a volatile service they fail with FailedPrecondition.
   /// Borrowed; must outlive the service.
@@ -166,12 +166,12 @@ class Service {
   const ServiceOptions& options() const { return options_; }
 
  private:
-  /// One worker: pop a group, shed what expired in the queue, execute the
-  /// rest inline; until the queue is closed and drained.
+  /// One worker: pop a group, shed what expired in the queue, order the
+  /// rest and execute it as one batch; until the queue is closed and
+  /// drained.
   void WorkerLoop();
-  void ExecuteBatch(Batch* batch);
-  void ExecuteOne(const Request& request, const OverloadSignals& signals,
-                  Response* response);
+  void ExecuteBatch(std::vector<TicketPtr>* group);
+  void ExecuteOne(const Request& request, Response* response);
   void Complete(TicketPtr ticket, Response response, uint64_t exec_start,
                 uint64_t exec_nanos);
   void CompleteShed(TicketPtr ticket, Status status);
@@ -190,7 +190,6 @@ class Service {
   std::unique_ptr<txn::TxnManager> txn_mgr_;
   std::shared_ptr<const OverloadPolicy> policy_;
   AdmissionQueue queue_;
-  Batcher batcher_;
 
   std::atomic<uint64_t> accepted_{0};   ///< admitted into the queue
   std::atomic<uint64_t> finished_{0};   ///< completed or shed post-admit

@@ -456,6 +456,30 @@ TEST(DurableKvStoreTest, IoErrorPoisonsInsteadOfAborting) {
   EXPECT_EQ(db.value()->Checkpoint().code(), StatusCode::kIoError);
 }
 
+// A failed MutateBatch still answers every `erased` slot: callers read
+// one flag per delete whatever the status.
+TEST(DurableKvStoreTest, PoisonedMutateBatchClearsEveryErasedSlot) {
+  FaultPlan plan;
+  plan.fail_after_writes = 6;
+  plan.mode = FaultMode::kDropWrite;
+  FaultyFileBackend fs(plan);
+  auto db = DurableKvStore::Open(&fs, "db", SmallDurableOptions());
+  ASSERT_TRUE(db.ok());
+  Status first = Status::OK();
+  for (uint64_t i = 0; i < 100 && first.ok(); ++i) {
+    first = db.value()->Put(i, i);
+  }
+  ASSERT_EQ(first.code(), StatusCode::kIoError);
+
+  const WriteOp ops[3] = {{1, 0, true}, {2, 0, true}, {3, 0, true}};
+  bool erased[3] = {true, true, true};
+  EXPECT_EQ(db.value()->MutateBatch(ops, 3, nullptr, erased).code(),
+            StatusCode::kIoError);
+  EXPECT_FALSE(erased[0]);
+  EXPECT_FALSE(erased[1]);
+  EXPECT_FALSE(erased[2]);
+}
+
 TEST(RecoveryTest, TornTailStopsReplayCleanly) {
   InMemoryFileBackend fs;
   // Hand-build shard 0's first segment: three records, then half a record.

@@ -421,7 +421,7 @@ TEST(KvStoreTest, MultiGetMatchesGetIncludingMisses) {
 
   std::vector<uint64_t> keys;
   for (uint64_t i = 0; i < 256; ++i) keys.push_back((i * 7 % 1024) * stride);
-  // Unsorted and sorted (the svc batcher's shard-grouped order) must agree.
+  // Unsorted and sorted (svc::GroupSelector's key order) must agree.
   for (int pass = 0; pass < 2; ++pass) {
     std::vector<uint64_t> values(keys.size());
     auto found = std::make_unique<bool[]>(keys.size());

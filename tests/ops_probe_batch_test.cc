@@ -292,8 +292,8 @@ TEST(ProbeBatchTest, KvStoreMultiGetMatchesScalarGet) {
     }
     for (size_t n : kBatchSizes) {
       auto probes = MakeProbeKeys(keys, n, rng);
-      // Sorted probes exercise the long same-shard-run path the svc
-      // batcher produces; unsorted ones exercise shard switching.
+      // Sorted probes exercise the long same-shard-run path svc get
+      // groups produce; unsorted ones exercise shard switching.
       for (bool sorted : {false, true}) {
         if (sorted) std::sort(probes.begin(), probes.end());
         std::vector<uint64_t> values(n, ~uint64_t{0});

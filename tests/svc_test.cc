@@ -14,7 +14,6 @@
 #include "hwstar/kv/kv_store.h"
 #include "hwstar/storage/column_store.h"
 #include "hwstar/svc/admission.h"
-#include "hwstar/svc/batcher.h"
 #include "hwstar/svc/overload_policy.h"
 #include "hwstar/svc/service.h"
 
@@ -44,17 +43,13 @@ TicketPtr MakeTicket(Request request) {
 
 // --- AdmissionQueue -------------------------------------------------------
 
-/// Takes every ticket it is offered.
-struct TakeAll final : TicketSelector {
-  bool Take(const Ticket&) override { return true; }
-  bool Open() const override { return true; }
-};
-
-// Pops up to `max` tickets in pop order, without lingering.
+// Pops up to `max` tickets in pop order, without lingering. The tests
+// that use it queue point-gets only, all on shard 0 of a storeless
+// selector, so each of them is taken.
 bool PopUpTo(AdmissionQueue* queue, std::vector<TicketPtr>* out,
              uint32_t max) {
-  TakeAll all;
-  return queue->PopGroup(out, &all, max, /*linger_nanos=*/0);
+  GroupSelector selector(nullptr, 64);
+  return queue->PopGroup(out, &selector, max, /*linger_nanos=*/0);
 }
 
 TEST(AdmissionQueueTest, AcceptRejectBoundaryAtMaxDepth) {
@@ -155,12 +150,11 @@ TEST(AdmissionQueueTest, CloseWakesAndDrains) {
 // later write to a key of the lingering group must not overtake the group.
 TEST(AdmissionQueueTest, LingeringPopKeepsItsClaimedTickets) {
   AdmissionQueue queue(AdmissionOptions{});
-  const Batcher batcher(BatcherOptions{});
   auto put = MakeTicket(Request::Put(7, 100));
   ASSERT_TRUE(queue.TryAdmit(put).ok());
   std::vector<TicketPtr> lingered;
   std::thread lingerer([&] {
-    GroupSelector selector(&batcher);
+    GroupSelector selector(nullptr, 64);
     EXPECT_TRUE(queue.PopGroup(&lingered, &selector, 64,
                                /*linger_nanos=*/60'000'000'000));
   });
@@ -171,7 +165,7 @@ TEST(AdmissionQueueTest, LingeringPopKeepsItsClaimedTickets) {
   auto get = MakeTicket(Request::PointGet(5));
   ASSERT_TRUE(queue.TryAdmit(overwrite).ok());
   ASSERT_TRUE(queue.TryAdmit(get).ok());
-  GroupSelector selector(&batcher);
+  GroupSelector selector(nullptr, 64);
   std::vector<TicketPtr> out;
   ASSERT_TRUE(queue.PopGroup(&out, &selector, 64, /*linger_nanos=*/0));
   ASSERT_EQ(out.size(), 1u);
@@ -184,87 +178,92 @@ TEST(AdmissionQueueTest, LingeringPopKeepsItsClaimedTickets) {
   EXPECT_EQ(lingered[1]->request.put.value, 101u);
 }
 
-// --- Batcher --------------------------------------------------------------
+// --- GroupSelector --------------------------------------------------------
 
-TEST(BatcherTest, GroupsGetsByShardSortedByKey) {
-  BatcherOptions opts;
-  opts.max_batch = 8;
-  opts.kv_shards = 4;  // shard = top 2 key bits
-  Batcher batcher(opts);
-
-  const uint64_t shard_span = ~uint64_t{0} / 4 + 1;
-  std::vector<TicketPtr> tickets;
-  // Two shards, interleaved and unsorted on arrival.
-  tickets.push_back(MakeTicket(Request::PointGet(5)));
-  tickets.push_back(MakeTicket(Request::PointGet(shard_span + 9)));
-  tickets.push_back(MakeTicket(Request::PointGet(3)));
-  tickets.push_back(MakeTicket(Request::PointGet(shard_span + 2)));
-
-  auto batches = batcher.Group(std::move(tickets));
-  ASSERT_EQ(batches.size(), 2u);
-  for (const auto& b : batches) {
-    EXPECT_EQ(b.type, RequestType::kPointGet);
-    ASSERT_EQ(b.tickets.size(), 2u);
-    EXPECT_LT(b.tickets[0]->request.get.key, b.tickets[1]->request.get.key);
-    EXPECT_EQ(batcher.ShardOf(b.tickets[0]->request.get.key), b.shard);
-    EXPECT_EQ(batcher.ShardOf(b.tickets[1]->request.get.key), b.shard);
+// Admits `requests` in order and returns their queue.
+std::unique_ptr<AdmissionQueue> QueueOf(std::vector<Request> requests) {
+  auto queue = std::make_unique<AdmissionQueue>(AdmissionOptions{});
+  for (Request& r : requests) {
+    auto t = MakeTicket(std::move(r));
+    EXPECT_TRUE(queue->TryAdmit(t).ok());
   }
+  return queue;
 }
 
-TEST(BatcherTest, PutsGroupByShardAndKeepSameKeySubmissionOrder) {
-  BatcherOptions opts;
-  opts.max_batch = 8;
-  opts.kv_shards = 1;
-  Batcher batcher(opts);
+// Pops one group through `selector` without lingering, then orders it.
+std::vector<TicketPtr> PopOrdered(AdmissionQueue* queue,
+                                  GroupSelector* selector) {
+  std::vector<TicketPtr> group;
+  selector->Reset();
+  EXPECT_TRUE(queue->PopGroup(&group, selector, 64, /*linger_nanos=*/0));
+  selector->Order(&group);
+  return group;
+}
+
+TEST(GroupSelectorTest, GroupsGetsByShardSortedByKey) {
+  kv::KvOptions kopts;
+  kopts.shards = 4;  // shard = top 2 key bits
+  const kv::KvStore store(kopts);
+  GroupSelector selector(&store, 8);
+
+  const uint64_t shard_span = ~uint64_t{0} / 4 + 1;
+  // Two shards, interleaved and unsorted on arrival.
+  auto queue = QueueOf({Request::PointGet(5), Request::PointGet(shard_span + 9),
+                        Request::PointGet(3),
+                        Request::PointGet(shard_span + 2)});
+  for (int pop = 0; pop < 2; ++pop) {
+    auto group = PopOrdered(queue.get(), &selector);
+    ASSERT_EQ(group.size(), 2u);
+    EXPECT_EQ(group[0]->request.type, RequestType::kPointGet);
+    EXPECT_LT(group[0]->request.get.key, group[1]->request.get.key);
+    EXPECT_EQ(store.ShardOf(group[0]->request.get.key),
+              store.ShardOf(group[1]->request.get.key));
+  }
+  EXPECT_EQ(queue->depth(), 0u);
+}
+
+TEST(GroupSelectorTest, PutsGroupByShardAndKeepSameKeySubmissionOrder) {
+  GroupSelector selector(nullptr, 8);
 
   // Same-key puts interleaved with others: the sort must be STABLE, so
-  // within a batch the same key's values stay in submission order (the
+  // within a group the same key's values stay in submission order (the
   // last one submitted is the one that wins when applied in order).
-  std::vector<TicketPtr> tickets;
-  tickets.push_back(MakeTicket(Request::Put(7, 100)));
-  tickets.push_back(MakeTicket(Request::Put(3, 30)));
-  tickets.push_back(MakeTicket(Request::Put(7, 101)));
-  tickets.push_back(MakeTicket(Request::Put(9, 90)));
-  tickets.push_back(MakeTicket(Request::Put(7, 102)));
-
-  auto batches = batcher.Group(std::move(tickets));
-  ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].type, RequestType::kPut);
-  ASSERT_EQ(batches[0].tickets.size(), 5u);
+  auto queue = QueueOf({Request::Put(7, 100), Request::Put(3, 30),
+                        Request::Put(7, 101), Request::Put(9, 90),
+                        Request::Put(7, 102)});
+  auto group = PopOrdered(queue.get(), &selector);
+  ASSERT_EQ(group.size(), 5u);
+  EXPECT_EQ(group[0]->request.type, RequestType::kPut);
   std::vector<uint64_t> key7_values;
-  for (const auto& t : batches[0].tickets) {
+  for (const auto& t : group) {
     if (t->request.put.key == 7) key7_values.push_back(t->request.put.value);
   }
   EXPECT_EQ(key7_values, (std::vector<uint64_t>{100, 101, 102}));
   // And the keys themselves are sorted.
-  for (size_t i = 1; i < batches[0].tickets.size(); ++i) {
-    EXPECT_LE(batches[0].tickets[i - 1]->request.put.key,
-              batches[0].tickets[i]->request.put.key);
+  for (size_t i = 1; i < group.size(); ++i) {
+    EXPECT_LE(group[i - 1]->request.put.key, group[i]->request.put.key);
   }
 }
 
-TEST(BatcherTest, RespectsMaxBatchAndSingletonTypes) {
-  BatcherOptions opts;
-  opts.max_batch = 2;
-  opts.kv_shards = 1;
-  Batcher batcher(opts);
+TEST(GroupSelectorTest, RespectsMaxBatchAndSingletonTypes) {
+  GroupSelector selector(nullptr, 2);
 
-  std::vector<TicketPtr> tickets;
-  for (int i = 0; i < 5; ++i) {
-    tickets.push_back(MakeTicket(Request::PointGet(i)));
-  }
-  tickets.push_back(MakeTicket(Request::Scan(0, 10)));
-  tickets.push_back(MakeTicket(Request::Scan(0, 20)));
+  std::vector<Request> requests;
+  for (int i = 0; i < 5; ++i) requests.push_back(Request::PointGet(i));
+  requests.push_back(Request::Scan(0, 10));
+  requests.push_back(Request::Scan(0, 20));
+  auto queue = QueueOf(std::move(requests));
 
-  auto batches = batcher.Group(std::move(tickets));
   size_t gets = 0, scans = 0;
-  for (const auto& b : batches) {
-    EXPECT_LE(b.tickets.size(), 2u);
-    if (b.type == RequestType::kPointGet) {
-      gets += b.tickets.size();
+  while (queue->depth() > 0) {
+    auto group = PopOrdered(queue.get(), &selector);
+    ASSERT_FALSE(group.empty());
+    EXPECT_LE(group.size(), 2u);
+    if (group[0]->request.type == RequestType::kPointGet) {
+      gets += group.size();
     } else {
-      EXPECT_EQ(b.type, RequestType::kScan);
-      EXPECT_EQ(b.tickets.size(), 1u);  // scans never merge
+      EXPECT_EQ(group[0]->request.type, RequestType::kScan);
+      EXPECT_EQ(group.size(), 1u);  // scans never merge
       ++scans;
     }
   }
@@ -272,36 +271,31 @@ TEST(BatcherTest, RespectsMaxBatchAndSingletonTypes) {
   EXPECT_EQ(scans, 2u);
 }
 
-TEST(BatcherTest, NeverSplitsEqualKeyPutRunAcrossBatches) {
-  BatcherOptions opts;
-  opts.max_batch = 2;
-  opts.kv_shards = 1;
-  Batcher batcher(opts);
+TEST(GroupSelectorTest, NeverSplitsEqualKeyPutRunAcrossBatches) {
+  GroupSelector selector(nullptr, 2);
 
-  // Sorted put order is [1, 2, 5, 5, 5]. A naive max_batch split would
-  // leave one key-5 put in the first batch and two in the second; batches
-  // for the same shard may run concurrently on different pool workers, so
-  // the later-submitted put could be applied first. The whole equal-key
-  // run must land in one batch, even past max_batch.
-  std::vector<TicketPtr> tickets;
-  tickets.push_back(MakeTicket(Request::Put(5, 50)));
-  tickets.push_back(MakeTicket(Request::Put(2, 20)));
-  tickets.push_back(MakeTicket(Request::Put(5, 51)));
-  tickets.push_back(MakeTicket(Request::Put(1, 10)));
-  tickets.push_back(MakeTicket(Request::Put(5, 52)));
-
-  auto batches = batcher.Group(std::move(tickets));
-  ASSERT_EQ(batches.size(), 2u);
-  ASSERT_EQ(batches[0].tickets.size(), 2u);
-  EXPECT_EQ(batches[0].tickets[0]->request.put.key, 1u);
-  EXPECT_EQ(batches[0].tickets[1]->request.put.key, 2u);
-  ASSERT_EQ(batches[1].tickets.size(), 3u);
+  // Submission order is [5, 2, 5, 1, 5]. A naive max_batch cut would
+  // leave one key-5 put in this group and the rest in a later one; groups
+  // for the same shard may run concurrently on different workers, so the
+  // later-submitted put could be applied first. The whole equal-key run
+  // must land in one group, even past max_batch, and key 1 waits.
+  auto queue = QueueOf({Request::Put(5, 50), Request::Put(2, 20),
+                        Request::Put(5, 51), Request::Put(1, 10),
+                        Request::Put(5, 52)});
+  auto group = PopOrdered(queue.get(), &selector);
+  ASSERT_EQ(group.size(), 4u);
+  EXPECT_EQ(group[0]->request.put.key, 2u);
   std::vector<uint64_t> key5_values;
-  for (const auto& t : batches[1].tickets) {
-    EXPECT_EQ(t->request.put.key, 5u);
-    key5_values.push_back(t->request.put.value);
+  for (size_t i = 1; i < group.size(); ++i) {
+    EXPECT_EQ(group[i]->request.put.key, 5u);
+    key5_values.push_back(group[i]->request.put.value);
   }
   EXPECT_EQ(key5_values, (std::vector<uint64_t>{50, 51, 52}));
+
+  ASSERT_EQ(queue->depth(), 1u);
+  group = PopOrdered(queue.get(), &selector);
+  ASSERT_EQ(group.size(), 1u);
+  EXPECT_EQ(group[0]->request.put.key, 1u);
 }
 
 // --- Service end to end ---------------------------------------------------
@@ -380,8 +374,8 @@ TEST(ServiceTest, BatchedResultsIdenticalToUnbatched) {
         engine::Add(engine::Col(0), engine::Col(1))));
   }
 
-  // Batched: through the service, submitted concurrently so the batcher
-  // actually forms multi-request batches.
+  // Batched: through the service, submitted concurrently so the workers
+  // actually pop multi-request groups.
   std::vector<std::future<Response>> futures;
   {
     ServiceOptions opts = NoDegradeOptions();
@@ -464,8 +458,8 @@ TEST(ServiceTest, DurablePutsFlowThroughWalAndSurviveReopen) {
     opts.batch_window_nanos = 2'000'000;
     Service service(opts, db.value().get());
 
-    // A concurrent flood so the batcher forms real put batches that ride
-    // one group commit each.
+    // A concurrent flood so the workers pop real put groups that ride one
+    // group commit each.
     std::vector<std::future<Response>> futures;
     for (uint64_t i = 0; i < 256; ++i) {
       futures.push_back(service.Submit(Request::Put(i, i + 1000)));
@@ -788,36 +782,31 @@ TEST(ServiceTest, DumpMetricsTextExposesLiveMetrics) {
 
 // --- Deletes and transactions through the service -------------------------
 
-TEST(BatcherTest, MixedPutDeleteWritesGroupAndNeverSplitOnEqualKey) {
-  BatcherOptions opts;
-  opts.max_batch = 2;
-  opts.kv_shards = 1;
-  Batcher batcher(opts);
+TEST(GroupSelectorTest, MixedPutDeleteWritesGroupAndNeverSplitOnEqualKey) {
+  GroupSelector selector(nullptr, 2);
 
-  // Sorted write order is [1, 2, 5put, 5del, 5put]. The equal-key run on
-  // key 5 mixes ops: the never-split rule must hold for the MIX, not just
-  // for puts, or a delete could land in a different batch than the put it
-  // was submitted after and apply out of order.
-  std::vector<TicketPtr> tickets;
-  tickets.push_back(MakeTicket(Request::Put(5, 50)));
-  tickets.push_back(MakeTicket(Request::Delete(5)));
-  tickets.push_back(MakeTicket(Request::Put(2, 20)));
-  tickets.push_back(MakeTicket(Request::Put(5, 52)));
-  tickets.push_back(MakeTicket(Request::Delete(1)));
+  // The equal-key run on key 5 mixes ops: the never-split rule must hold
+  // for the MIX, not just for puts, or a delete could land in a different
+  // group than the put it was submitted after and apply out of order.
+  auto queue = QueueOf({Request::Put(5, 50), Request::Delete(5),
+                        Request::Put(2, 20), Request::Put(5, 52),
+                        Request::Delete(1)});
+  // The whole key-5 run, in submission order, in one group past max_batch.
+  auto group = PopOrdered(queue.get(), &selector);
+  ASSERT_EQ(group.size(), 3u);
+  EXPECT_EQ(group[0]->request.type, RequestType::kPut);
+  EXPECT_EQ(group[0]->request.put.value, 50u);
+  EXPECT_EQ(group[1]->request.type, RequestType::kDelete);
+  EXPECT_EQ(group[2]->request.type, RequestType::kPut);
+  EXPECT_EQ(group[2]->request.put.value, 52u);
 
-  auto batches = batcher.Group(std::move(tickets));
-  ASSERT_EQ(batches.size(), 2u);
-  ASSERT_EQ(batches[0].tickets.size(), 2u);
-  EXPECT_EQ(batches[0].tickets[0]->request.type, RequestType::kDelete);
-  EXPECT_EQ(batches[0].tickets[0]->request.del.key, 1u);
-  EXPECT_EQ(batches[0].tickets[1]->request.put.key, 2u);
-  // The whole key-5 run, in submission order, in one batch.
-  ASSERT_EQ(batches[1].tickets.size(), 3u);
-  EXPECT_EQ(batches[1].tickets[0]->request.type, RequestType::kPut);
-  EXPECT_EQ(batches[1].tickets[0]->request.put.value, 50u);
-  EXPECT_EQ(batches[1].tickets[1]->request.type, RequestType::kDelete);
-  EXPECT_EQ(batches[1].tickets[2]->request.type, RequestType::kPut);
-  EXPECT_EQ(batches[1].tickets[2]->request.put.value, 52u);
+  // Keys 1 and 2 stayed queued and form the next group, sorted.
+  group = PopOrdered(queue.get(), &selector);
+  ASSERT_EQ(group.size(), 2u);
+  EXPECT_EQ(group[0]->request.type, RequestType::kDelete);
+  EXPECT_EQ(group[0]->request.del.key, 1u);
+  EXPECT_EQ(group[1]->request.put.key, 2u);
+  EXPECT_EQ(queue->depth(), 0u);
 }
 
 TEST(ServiceTest, DeleteRoutesToDurableStoreAndReportsPresence) {
@@ -847,7 +836,7 @@ TEST(ServiceTest, DeleteRoutesToDurableStoreAndReportsPresence) {
 
 // Batched deletes must answer exactly like singletons: `value` is 1 iff
 // the key existed at apply time. A concurrent flood of put/delete pairs
-// forces the batcher to form real mixed write batches.
+// forces the service to form real mixed write groups.
 TEST(ServiceTest, BatchedDeletesMatchSingletonSemantics) {
   dur::InMemoryFileBackend fs;
   dur::DurableKvOptions dopts;
