@@ -33,8 +33,6 @@
 
 // Memory management.
 #include "hwstar/mem/aligned.h"
-#include "hwstar/mem/arena.h"
-#include "hwstar/mem/memory_pool.h"
 #include "hwstar/mem/numa_allocator.h"
 
 // Synchronization: epoch-based reclamation and optimistic latches.

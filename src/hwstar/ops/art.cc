@@ -1,6 +1,6 @@
 #include "hwstar/ops/art.h"
 
-#include <cstring>
+#include <type_traits>
 
 #include "hwstar/common/macros.h"
 #include "hwstar/ops/probe_kernels.h"
@@ -18,160 +18,278 @@ inline uint8_t KeyByte(uint64_t key, uint32_t depth) {
 }
 
 constexpr uint32_t kMaxDepth = 8;
+constexpr uint32_t kMaxPrefix = 8;  // a uint64 key has at most 8 bytes
 
 }  // namespace
 
-/// Node layout notes for the concurrent read path: every field a
-/// latch-free reader can observe while the writer mutates it in place is
-/// a std::atomic accessed with relaxed loads -- consistency comes from
-/// OptLock version validation (sample, read, re-check), the atomics only
-/// rule out torn words and data races. Fields that are written once
-/// before the node is published through a release store (kind, leaf key,
-/// the children256 array pointer) stay plain. Child pointers use
-/// acquire/release so a reader that follows a freshly published pointer
-/// sees the child fully constructed.
+/// Node layout notes. Each kind is its own allocation sized for its own
+/// layout (Leis et al.'s point: a leaf costs a key and a value, not the
+/// widest inner node). They share this header at offset 0, so a reader
+/// samples the lock and reads the immutable `kind` before it casts to
+/// the concrete layout and touches any of its fields.
+///
+/// Concurrent read path: every field a latch-free reader can observe
+/// while the writer mutates it in place is a std::atomic accessed with
+/// relaxed loads -- consistency comes from OptLock version validation
+/// (sample, read, re-check), the atomics only rule out torn words and
+/// data races. Fields that are written once before the node is published
+/// through a release store (kind, leaf key) stay plain. Child pointers
+/// use acquire/release so a reader that follows a freshly published
+/// pointer sees the child fully constructed. Every kind is
+/// value-initialized (C++20 zeroes default-constructed atomics), so an
+/// empty slot or N48 index entry reads as zero.
 struct AdaptiveRadixTree::Node {
   enum Kind : uint8_t { kLeaf, kN4, kN16, kN48, kN256 };
 
   explicit Node(Kind k) : kind(k) {}
 
   sync::OptLock lock;
-  const Kind kind;                        // never changes; growth replaces nodes
-  std::atomic<uint8_t> prefix_len{0};     // compressed-path bytes below parent
-  std::atomic<uint8_t> prefix[8];
-  std::atomic<uint16_t> count{0};         // children in use (inner nodes)
-
-  // Leaf payload. The key is immutable after publication; the value is
-  // overwritten in place (a single atomic store, so readers need no lock
-  // to see it untorn).
-  uint64_t key = 0;
-  std::atomic<uint64_t> value{0};
-
-  // Inner-node child storage. Only the fields of the active layout are
-  // meaningful; the adaptive growth path is N4 -> N16 -> N48 -> N256.
-  // (C++20 value-initializes default-constructed atomics to zero.)
-  std::atomic<uint8_t> keys4[4];
-  std::atomic<Node*> children4[4];
-  std::atomic<uint8_t> keys16[16];
-  std::atomic<Node*> children16[16];
-  std::atomic<uint8_t> child_index48[256];  // 0 = empty, else child slot + 1
-  std::atomic<Node*> children48[48];
-  std::atomic<Node*>* children256 = nullptr;  // allocated before publication
-
-  ~Node() { delete[] children256; }
+  const Kind kind;  // never changes; growth replaces nodes
 };
 
 namespace {
 
 using Node = AdaptiveRadixTree::Node;
 
-Node* NewLeaf(uint64_t key, uint64_t value) {
-  Node* n = new Node(Node::kLeaf);
-  n->key = key;
-  n->value.store(value, std::memory_order_relaxed);
-  return n;
+/// 32 bytes. The key is immutable after publication; the value is
+/// overwritten in place (a single atomic store, so readers need no lock
+/// to see it untorn).
+struct Leaf : Node {
+  Leaf(uint64_t k, uint64_t v) : Node(kLeaf), key(k), value(v) {}
+
+  const uint64_t key;
+  std::atomic<uint64_t> value;
+};
+
+/// The fields every inner kind shares, packed into the header's tail
+/// padding: the compressed path below the parent edge and the number of
+/// children in use.
+struct Inner : Node {
+  using Node::Node;
+
+  std::atomic<uint8_t> prefix_len{0};
+  std::atomic<uint8_t> prefix[kMaxPrefix];
+  std::atomic<uint16_t> count{0};
+};
+
+/// N4 (56 bytes) and N16 (168 bytes): up to W children whose key bytes
+/// are kept sorted, so ForEach runs in key order. Reader-side lookups
+/// are safe against a racing writer: stale count/key reads stay in
+/// bounds and the caller validates the version before trusting them.
+template <Node::Kind K, uint16_t W>
+struct SortedNode : Inner {
+  SortedNode() : Inner(K) {}
+
+  int Pos(uint8_t b) const {
+    const uint16_t cnt = count.load(std::memory_order_relaxed);
+    for (uint16_t i = 0; i < cnt; ++i) {
+      if (keys[i].load(std::memory_order_relaxed) == b) return i;
+    }
+    return -1;
+  }
+  Node* Find(uint8_t b) const {
+    const int i = Pos(b);
+    return i < 0 ? nullptr : children[i].load(std::memory_order_acquire);
+  }
+  std::atomic<Node*>* Slot(uint8_t b) {
+    const int i = Pos(b);
+    return i < 0 ? nullptr : &children[i];
+  }
+  bool Full() const { return count.load(std::memory_order_relaxed) == W; }
+
+  void Add(uint8_t b, Node* c) {
+    const uint16_t cnt = count.load(std::memory_order_relaxed);
+    uint16_t pos = 0;
+    while (pos < cnt && keys[pos].load(std::memory_order_relaxed) < b) ++pos;
+    for (uint16_t i = cnt; i > pos; --i) {
+      keys[i].store(keys[i - 1].load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+      children[i].store(children[i - 1].load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+    }
+    keys[pos].store(b, std::memory_order_relaxed);
+    children[pos].store(c, std::memory_order_release);
+    count.store(static_cast<uint16_t>(cnt + 1), std::memory_order_relaxed);
+  }
+  void Remove(uint8_t b) {
+    const uint16_t cnt = count.load(std::memory_order_relaxed);
+    const int pos = Pos(b);
+    HWSTAR_DCHECK(pos >= 0);
+    for (int i = pos; i + 1 < cnt; ++i) {
+      keys[i].store(keys[i + 1].load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+      children[i].store(children[i + 1].load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+    }
+    count.store(static_cast<uint16_t>(cnt - 1), std::memory_order_relaxed);
+  }
+  template <typename F>
+  void ForEach(F&& f) const {
+    const uint16_t cnt = count.load(std::memory_order_relaxed);
+    for (uint16_t i = 0; i < cnt; ++i) {
+      f(keys[i].load(std::memory_order_relaxed),
+        children[i].load(std::memory_order_relaxed));
+    }
+  }
+
+  std::atomic<uint8_t> keys[W];
+  std::atomic<Node*> children[W];
+};
+
+using N4 = SortedNode<Node::kN4, 4>;
+using N16 = SortedNode<Node::kN16, 16>;
+
+/// 664 bytes: a 256-entry byte index into 48 dense child slots.
+struct N48 : Inner {
+  N48() : Inner(kN48) {}
+
+  Node* Find(uint8_t b) const {
+    const uint8_t idx = child_index[b].load(std::memory_order_relaxed);
+    return idx == 0 ? nullptr
+                    : children[idx - 1].load(std::memory_order_acquire);
+  }
+  std::atomic<Node*>* Slot(uint8_t b) {
+    const uint8_t idx = child_index[b].load(std::memory_order_relaxed);
+    return idx == 0 ? nullptr : &children[idx - 1];
+  }
+  bool Full() const { return count.load(std::memory_order_relaxed) == 48; }
+
+  void Add(uint8_t b, Node* c) {
+    const uint16_t cnt = count.load(std::memory_order_relaxed);
+    children[cnt].store(c, std::memory_order_release);
+    child_index[b].store(static_cast<uint8_t>(cnt + 1),
+                         std::memory_order_release);
+    count.store(static_cast<uint16_t>(cnt + 1), std::memory_order_relaxed);
+  }
+  void Remove(uint8_t b) {
+    const uint8_t slot = child_index[b].load(std::memory_order_relaxed);
+    HWSTAR_DCHECK(slot != 0);
+    child_index[b].store(0, std::memory_order_relaxed);
+    // Keep the slot array dense: move the last occupied slot into the
+    // hole and repoint whichever byte indexed it.
+    const uint16_t last = count.load(std::memory_order_relaxed) - 1;
+    if (slot - 1 != last) {
+      children[slot - 1].store(children[last].load(std::memory_order_relaxed),
+                               std::memory_order_relaxed);
+      for (uint32_t byte = 0; byte < 256; ++byte) {
+        if (child_index[byte].load(std::memory_order_relaxed) == last + 1) {
+          child_index[byte].store(slot, std::memory_order_relaxed);
+          break;
+        }
+      }
+    }
+    children[last].store(nullptr, std::memory_order_relaxed);
+    count.store(last, std::memory_order_relaxed);
+  }
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (uint32_t b = 0; b < 256; ++b) {
+      const uint8_t idx = child_index[b].load(std::memory_order_relaxed);
+      if (idx != 0) {
+        f(static_cast<uint8_t>(b),
+          children[idx - 1].load(std::memory_order_relaxed));
+      }
+    }
+  }
+
+  std::atomic<uint8_t> child_index[256];  // 0 = empty, else child slot + 1
+  std::atomic<Node*> children[48];
+};
+
+/// 2072 bytes: one child slot per byte value, inline, so descending an
+/// N256 is a single dependent load.
+struct N256 : Inner {
+  N256() : Inner(kN256) {}
+
+  Node* Find(uint8_t b) const {
+    return children[b].load(std::memory_order_acquire);
+  }
+  std::atomic<Node*>* Slot(uint8_t b) { return &children[b]; }
+  bool Full() const { return false; }
+
+  void Add(uint8_t b, Node* c) {
+    HWSTAR_DCHECK(children[b].load(std::memory_order_relaxed) == nullptr);
+    children[b].store(c, std::memory_order_release);
+    count.store(count.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+  }
+  void Remove(uint8_t b) {
+    HWSTAR_DCHECK(children[b].load(std::memory_order_relaxed) != nullptr);
+    children[b].store(nullptr, std::memory_order_relaxed);
+    count.store(count.load(std::memory_order_relaxed) - 1,
+                std::memory_order_relaxed);
+  }
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (uint32_t b = 0; b < 256; ++b) {
+      Node* c = children[b].load(std::memory_order_relaxed);
+      if (c != nullptr) f(static_cast<uint8_t>(b), c);
+    }
+  }
+
+  std::atomic<Node*> children[256];
+};
+
+static_assert(sizeof(Leaf) == 32 && sizeof(N4) == 56 && sizeof(N16) == 168 &&
+              sizeof(N48) == 664 && sizeof(N256) == 2072);
+
+/// `p` cast to T, keeping its constness.
+template <typename T, typename P>
+auto* As(P* p) {
+  if constexpr (std::is_const_v<P>) {
+    return static_cast<const T*>(p);
+  } else {
+    return static_cast<T*>(p);
+  }
 }
 
-Node* NewNode(Node::Kind kind) {
-  Node* n = new Node(kind);
-  if (kind == Node::kN256) {
-    n->children256 = new std::atomic<Node*>[256]();
+/// Calls f with inner node `n` cast to its concrete kind.
+template <typename P, typename F>
+decltype(auto) Visit(P* n, F&& f) {
+  HWSTAR_DCHECK(n->kind != Node::kLeaf);
+  switch (n->kind) {
+    case Node::kN4:
+      return f(As<N4>(n));
+    case Node::kN16:
+      return f(As<N16>(n));
+    case Node::kN48:
+      return f(As<N48>(n));
+    default:
+      return f(As<N256>(n));
   }
-  return n;
+}
+
+/// Frees `n` as its own type (never through the header type).
+void DeleteNode(Node* n) {
+  if (n->kind == Node::kLeaf) {
+    delete static_cast<Leaf*>(n);
+  } else {
+    Visit(n, [](auto* x) { delete x; });
+  }
 }
 
 size_t NodeBytes(const Node* n) {
-  return sizeof(Node) +
-         (n->kind == Node::kN256 ? 256 * sizeof(std::atomic<Node*>) : 0);
+  if (n->kind == Node::kLeaf) return sizeof(Leaf);
+  return Visit(n, [](auto* x) { return sizeof(*x); });
 }
 
 /// Finds the child for byte b, or nullptr. Safe for latch-free readers:
 /// the result must be validated against the node version before being
-/// dereferenced (a racing writer can make any combination of count/keys/
-/// slot reads stale, but never out of bounds).
+/// dereferenced.
 Node* FindChild(const Node* n, uint8_t b) {
-  switch (n->kind) {
-    case Node::kN4: {
-      const uint16_t cnt = n->count.load(std::memory_order_relaxed);
-      for (uint16_t i = 0; i < cnt; ++i) {
-        if (n->keys4[i].load(std::memory_order_relaxed) == b) {
-          return n->children4[i].load(std::memory_order_acquire);
-        }
-      }
-      return nullptr;
-    }
-    case Node::kN16: {
-      const uint16_t cnt = n->count.load(std::memory_order_relaxed);
-      for (uint16_t i = 0; i < cnt; ++i) {
-        if (n->keys16[i].load(std::memory_order_relaxed) == b) {
-          return n->children16[i].load(std::memory_order_acquire);
-        }
-      }
-      return nullptr;
-    }
-    case Node::kN48: {
-      const uint8_t idx = n->child_index48[b].load(std::memory_order_relaxed);
-      return idx == 0 ? nullptr
-                      : n->children48[idx - 1].load(std::memory_order_acquire);
-    }
-    case Node::kN256:
-      return n->children256[b].load(std::memory_order_acquire);
-    default:
-      return nullptr;
-  }
+  return Visit(n, [b](auto* x) { return x->Find(b); });
 }
 
 /// The slot holding the child for byte b (writer-side; the child must
 /// exist). Stable until the writer itself mutates this node.
 std::atomic<Node*>* ChildSlot(Node* n, uint8_t b) {
-  switch (n->kind) {
-    case Node::kN4: {
-      const uint16_t cnt = n->count.load(std::memory_order_relaxed);
-      for (uint16_t i = 0; i < cnt; ++i) {
-        if (n->keys4[i].load(std::memory_order_relaxed) == b) {
-          return &n->children4[i];
-        }
-      }
-      break;
-    }
-    case Node::kN16: {
-      const uint16_t cnt = n->count.load(std::memory_order_relaxed);
-      for (uint16_t i = 0; i < cnt; ++i) {
-        if (n->keys16[i].load(std::memory_order_relaxed) == b) {
-          return &n->children16[i];
-        }
-      }
-      break;
-    }
-    case Node::kN48: {
-      const uint8_t idx = n->child_index48[b].load(std::memory_order_relaxed);
-      if (idx != 0) return &n->children48[idx - 1];
-      break;
-    }
-    case Node::kN256:
-      return &n->children256[b];
-    default:
-      break;
-  }
-  HWSTAR_CHECK(false);
-  return nullptr;
+  std::atomic<Node*>* slot = Visit(n, [b](auto* x) { return x->Slot(b); });
+  HWSTAR_CHECK(slot != nullptr);
+  return slot;
 }
 
 bool HasRoom(const Node* n) {
-  const uint16_t cnt = n->count.load(std::memory_order_relaxed);
-  switch (n->kind) {
-    case Node::kN4:
-      return cnt < 4;
-    case Node::kN16:
-      return cnt < 16;
-    case Node::kN48:
-      return cnt < 48;
-    case Node::kN256:
-      return true;
-    default:
-      HWSTAR_CHECK(false);
-      return false;
-  }
+  return !Visit(n, [](auto* x) { return x->Full(); });
 }
 
 /// Adds child b -> c into a node with room. The caller either holds the
@@ -179,216 +297,62 @@ bool HasRoom(const Node* n) {
 /// the N4/N16 shift mid-flight) or owns the node privately (not yet
 /// published).
 void AddChildInPlace(Node* n, uint8_t b, Node* c) {
-  const uint16_t cnt = n->count.load(std::memory_order_relaxed);
-  switch (n->kind) {
-    case Node::kN4: {
-      // Insert keeping keys sorted (cheap at width 4).
-      uint16_t pos = 0;
-      while (pos < cnt && n->keys4[pos].load(std::memory_order_relaxed) < b) {
-        ++pos;
-      }
-      for (uint16_t i = cnt; i > pos; --i) {
-        n->keys4[i].store(n->keys4[i - 1].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-        n->children4[i].store(
-            n->children4[i - 1].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-      }
-      n->keys4[pos].store(b, std::memory_order_relaxed);
-      n->children4[pos].store(c, std::memory_order_release);
-      break;
-    }
-    case Node::kN16: {
-      uint16_t pos = 0;
-      while (pos < cnt && n->keys16[pos].load(std::memory_order_relaxed) < b) {
-        ++pos;
-      }
-      for (uint16_t i = cnt; i > pos; --i) {
-        n->keys16[i].store(n->keys16[i - 1].load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-        n->children16[i].store(
-            n->children16[i - 1].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-      }
-      n->keys16[pos].store(b, std::memory_order_relaxed);
-      n->children16[pos].store(c, std::memory_order_release);
-      break;
-    }
-    case Node::kN48:
-      n->children48[cnt].store(c, std::memory_order_release);
-      n->child_index48[b].store(static_cast<uint8_t>(cnt + 1),
-                                std::memory_order_release);
-      break;
-    case Node::kN256:
-      HWSTAR_DCHECK(n->children256[b].load(std::memory_order_relaxed) ==
-                    nullptr);
-      n->children256[b].store(c, std::memory_order_release);
-      break;
-    default:
-      HWSTAR_CHECK(false);
-  }
-  n->count.store(static_cast<uint16_t>(cnt + 1), std::memory_order_relaxed);
+  Visit(n, [b, c](auto* x) { x->Add(b, c); });
 }
 
-/// A private copy of full node `n` in the next-larger layout. The copy is
-/// published by the caller; `n` stays untouched for in-flight readers.
-Node* GrowCopy(const Node* n) {
-  Node* big = nullptr;
-  switch (n->kind) {
-    case Node::kN4: {
-      big = NewNode(Node::kN16);
-      for (uint16_t i = 0; i < 4; ++i) {
-        big->keys16[i].store(n->keys4[i].load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-        big->children16[i].store(
-            n->children4[i].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-      }
-      big->count.store(4, std::memory_order_relaxed);
-      break;
-    }
-    case Node::kN16: {
-      big = NewNode(Node::kN48);
-      for (uint16_t i = 0; i < 16; ++i) {
-        big->children48[i].store(
-            n->children16[i].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-        big->child_index48[n->keys16[i].load(std::memory_order_relaxed)].store(
-            static_cast<uint8_t>(i + 1), std::memory_order_relaxed);
-      }
-      big->count.store(16, std::memory_order_relaxed);
-      break;
-    }
-    case Node::kN48: {
-      big = NewNode(Node::kN256);
-      for (uint32_t byte = 0; byte < 256; ++byte) {
-        const uint8_t idx =
-            n->child_index48[byte].load(std::memory_order_relaxed);
-        if (idx != 0) {
-          big->children256[byte].store(
-              n->children48[idx - 1].load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-        }
-      }
-      big->count.store(48, std::memory_order_relaxed);
-      break;
-    }
-    default:
-      HWSTAR_CHECK(false);
-  }
+/// Removes the child slot for byte `b` (which must exist) without freeing
+/// the child node. Caller holds the node's write lock.
+void RemoveChildInPlace(Node* n, uint8_t b) {
+  Visit(n, [b](auto* x) { x->Remove(b); });
+}
+
+/// Calls f(byte, child) for every child of inner node `n` in byte order.
+/// Requires writer exclusion (or a private node).
+template <typename F>
+void ForEachChild(const Node* n, F&& f) {
+  Visit(n, [&f](auto* x) { x->ForEach(f); });
+}
+
+/// A private copy of full node `n` in layout Big, holding only `n`'s
+/// active children. The copy is published by the caller; `n` stays
+/// untouched for in-flight readers.
+template <typename Big>
+Node* GrowInto(const Inner* n) {
+  Big* big = new Big();
+  ForEachChild(n, [big](uint8_t b, Node* c) { big->Add(b, c); });
   big->prefix_len.store(n->prefix_len.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
-  for (uint32_t i = 0; i < sizeof(n->prefix) / sizeof(n->prefix[0]); ++i) {
+  for (uint32_t i = 0; i < kMaxPrefix; ++i) {
     big->prefix[i].store(n->prefix[i].load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
   }
   return big;
 }
 
-/// Removes the child slot for byte `b` (which must exist) without freeing
-/// the child node. Caller holds the node's write lock.
-void RemoveChildInPlace(Node* n, uint8_t b) {
-  const uint16_t cnt = n->count.load(std::memory_order_relaxed);
+/// Adaptive growth: N4 -> N16 -> N48 -> N256.
+Node* GrowCopy(const Node* n) {
+  const Inner* in = static_cast<const Inner*>(n);
   switch (n->kind) {
-    case Node::kN4: {
-      uint16_t pos = 0;
-      while (pos < cnt && n->keys4[pos].load(std::memory_order_relaxed) != b) {
-        ++pos;
-      }
-      HWSTAR_DCHECK(pos < cnt);
-      for (uint16_t i = pos; i + 1 < cnt; ++i) {
-        n->keys4[i].store(n->keys4[i + 1].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-        n->children4[i].store(
-            n->children4[i + 1].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-      }
-      break;
-    }
-    case Node::kN16: {
-      uint16_t pos = 0;
-      while (pos < cnt && n->keys16[pos].load(std::memory_order_relaxed) != b) {
-        ++pos;
-      }
-      HWSTAR_DCHECK(pos < cnt);
-      for (uint16_t i = pos; i + 1 < cnt; ++i) {
-        n->keys16[i].store(n->keys16[i + 1].load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-        n->children16[i].store(
-            n->children16[i + 1].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-      }
-      break;
-    }
-    case Node::kN48: {
-      const uint8_t slot = n->child_index48[b].load(std::memory_order_relaxed);
-      HWSTAR_DCHECK(slot != 0);
-      n->child_index48[b].store(0, std::memory_order_relaxed);
-      // Keep the slot array dense: move the last occupied slot into the
-      // hole and repoint whichever byte indexed it.
-      const uint16_t last = cnt - 1;
-      if (slot - 1 != last) {
-        n->children48[slot - 1].store(
-            n->children48[last].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-        for (uint32_t byte = 0; byte < 256; ++byte) {
-          if (n->child_index48[byte].load(std::memory_order_relaxed) ==
-              last + 1) {
-            n->child_index48[byte].store(slot, std::memory_order_relaxed);
-            break;
-          }
-        }
-      }
-      n->children48[last].store(nullptr, std::memory_order_relaxed);
-      break;
-    }
-    case Node::kN256:
-      HWSTAR_DCHECK(n->children256[b].load(std::memory_order_relaxed) !=
-                    nullptr);
-      n->children256[b].store(nullptr, std::memory_order_relaxed);
-      break;
+    case Node::kN4:
+      return GrowInto<N16>(in);
+    case Node::kN16:
+      return GrowInto<N48>(in);
+    case Node::kN48:
+      return GrowInto<N256>(in);
     default:
       HWSTAR_CHECK(false);
+      return nullptr;
   }
-  n->count.store(static_cast<uint16_t>(cnt - 1), std::memory_order_relaxed);
 }
 
 /// The (byte, child) of the only child of a count==1 inner node.
 void OnlyChild(const Node* n, uint8_t* byte, Node** child) {
-  switch (n->kind) {
-    case Node::kN4:
-      *byte = n->keys4[0].load(std::memory_order_relaxed);
-      *child = n->children4[0].load(std::memory_order_relaxed);
-      return;
-    case Node::kN16:
-      *byte = n->keys16[0].load(std::memory_order_relaxed);
-      *child = n->children16[0].load(std::memory_order_relaxed);
-      return;
-    case Node::kN48:
-      for (uint32_t b = 0; b < 256; ++b) {
-        const uint8_t idx =
-            n->child_index48[b].load(std::memory_order_relaxed);
-        if (idx != 0) {
-          *byte = static_cast<uint8_t>(b);
-          *child = n->children48[idx - 1].load(std::memory_order_relaxed);
-          return;
-        }
-      }
-      break;
-    case Node::kN256:
-      for (uint32_t b = 0; b < 256; ++b) {
-        Node* c = n->children256[b].load(std::memory_order_relaxed);
-        if (c != nullptr) {
-          *byte = static_cast<uint8_t>(b);
-          *child = c;
-          return;
-        }
-      }
-      break;
-    default:
-      break;
-  }
-  HWSTAR_CHECK(false);
+  *child = nullptr;
+  ForEachChild(n, [&](uint8_t b, Node* c) {
+    *byte = b;
+    *child = c;
+  });
+  HWSTAR_CHECK(*child != nullptr);
 }
 
 /// Longest common prefix of two keys starting at `depth`; at most
@@ -405,11 +369,10 @@ uint32_t CommonPrefixLen(uint64_t a, uint64_t b, uint32_t depth) {
 /// Number of leading prefix bytes of `n` matching `key` at `depth`.
 /// Reader-safe: every read is bounded regardless of staleness, and the
 /// caller validates the node version before trusting the result.
-uint32_t PrefixMatchLen(const Node* n, uint64_t key, uint32_t depth) {
+uint32_t PrefixMatchLen(const Inner* n, uint64_t key, uint32_t depth) {
   const uint32_t pl = n->prefix_len.load(std::memory_order_relaxed);
   uint32_t len = 0;
-  while (len < pl && len < sizeof(n->prefix) / sizeof(n->prefix[0]) &&
-         depth + len < kMaxDepth &&
+  while (len < pl && len < kMaxPrefix && depth + len < kMaxDepth &&
          n->prefix[len].load(std::memory_order_relaxed) ==
              KeyByte(key, depth + len)) {
     ++len;
@@ -419,67 +382,44 @@ uint32_t PrefixMatchLen(const Node* n, uint64_t key, uint32_t depth) {
 
 void FreeRec(Node* n) {
   if (n == nullptr) return;
-  const uint16_t cnt = n->count.load(std::memory_order_relaxed);
-  switch (n->kind) {
-    case Node::kLeaf:
-      break;
-    case Node::kN4:
-      for (uint16_t i = 0; i < cnt; ++i) {
-        FreeRec(n->children4[i].load(std::memory_order_relaxed));
-      }
-      break;
-    case Node::kN16:
-      for (uint16_t i = 0; i < cnt; ++i) {
-        FreeRec(n->children16[i].load(std::memory_order_relaxed));
-      }
-      break;
-    case Node::kN48:
-      for (uint32_t b = 0; b < 256; ++b) {
-        const uint8_t idx =
-            n->child_index48[b].load(std::memory_order_relaxed);
-        if (idx != 0) {
-          FreeRec(n->children48[idx - 1].load(std::memory_order_relaxed));
-        }
-      }
-      break;
-    case Node::kN256:
-      for (uint32_t b = 0; b < 256; ++b) {
-        FreeRec(n->children256[b].load(std::memory_order_relaxed));
-      }
-      break;
+  if (n->kind != Node::kLeaf) {
+    ForEachChild(n, [](uint8_t, Node* c) { FreeRec(c); });
   }
-  delete n;
+  DeleteNode(n);
 }
 
 void RetireNode(sync::EpochManager* epoch, Node* n) {
   if (epoch == nullptr) {
-    delete n;
+    DeleteNode(n);
     return;
   }
   epoch->Retire(
-      n, [](void* p) { delete static_cast<Node*>(p); }, NodeBytes(n));
+      n, [](void* p) { DeleteNode(static_cast<Node*>(p)); }, NodeBytes(n));
 }
 
-/// In-order traversal collecting values of keys in [lo, hi]. `partial`
-/// holds the key bytes fixed so far (above `depth` bytes are decided), so
-/// whole subtrees outside the range are pruned. Requires writer exclusion
-/// (the relaxed loads are for coexistence with latch-free point readers,
-/// not with a racing writer).
+/// In-order traversal calling emit(key, value) for every key in [lo, hi].
+/// `partial` holds the key bytes fixed so far (above `depth` bytes are
+/// decided), so whole subtrees outside the range are pruned; leaves carry
+/// their full key, so `partial` exists only to prune. Requires writer
+/// exclusion (the relaxed loads are for coexistence with latch-free point
+/// readers, not with a racing writer).
+template <typename Emit>
 void ScanRec(const Node* n, uint32_t depth, uint64_t partial, uint64_t lo,
-             uint64_t hi, std::vector<uint64_t>* out, uint64_t* count) {
+             uint64_t hi, Emit& emit) {
   if (n == nullptr) return;
   if (n->kind == Node::kLeaf) {
-    if (n->key >= lo && n->key <= hi) {
-      out->push_back(n->value.load(std::memory_order_relaxed));
-      ++*count;
+    const Leaf* leaf = static_cast<const Leaf*>(n);
+    if (leaf->key >= lo && leaf->key <= hi) {
+      emit(leaf->key, leaf->value.load(std::memory_order_relaxed));
     }
     return;
   }
   // Fold the compressed path into the partial key.
-  const uint32_t pl = n->prefix_len.load(std::memory_order_relaxed);
+  const Inner* in = static_cast<const Inner*>(n);
+  const uint32_t pl = in->prefix_len.load(std::memory_order_relaxed);
   for (uint32_t i = 0; i < pl; ++i) {
     partial |= static_cast<uint64_t>(
-                   n->prefix[i].load(std::memory_order_relaxed))
+                   in->prefix[i].load(std::memory_order_relaxed))
                << (56 - 8 * (depth + i));
   }
   depth += pl;
@@ -493,154 +433,33 @@ void ScanRec(const Node* n, uint32_t depth, uint64_t partial, uint64_t lo,
                 ((free_bits == 0) ? 0 : ((uint64_t{1} << free_bits) - 1));
   if (subtree_max < lo || subtree_min > hi) return;
 
-  auto visit = [&](uint8_t b, const Node* child) {
+  ForEachChild(n, [&](uint8_t b, const Node* child) {
     const uint64_t child_partial =
         partial | (static_cast<uint64_t>(b) << (56 - 8 * depth));
-    ScanRec(child, depth + 1, child_partial, lo, hi, out, count);
-  };
-  const uint16_t cnt = n->count.load(std::memory_order_relaxed);
-  switch (n->kind) {
-    case Node::kN4:
-      for (uint16_t i = 0; i < cnt; ++i) {
-        visit(n->keys4[i].load(std::memory_order_relaxed),
-              n->children4[i].load(std::memory_order_relaxed));
-      }
-      break;
-    case Node::kN16:
-      for (uint16_t i = 0; i < cnt; ++i) {
-        visit(n->keys16[i].load(std::memory_order_relaxed),
-              n->children16[i].load(std::memory_order_relaxed));
-      }
-      break;
-    case Node::kN48:
-      for (uint32_t b = 0; b < 256; ++b) {
-        const uint8_t idx =
-            n->child_index48[b].load(std::memory_order_relaxed);
-        if (idx != 0) {
-          visit(static_cast<uint8_t>(b),
-                n->children48[idx - 1].load(std::memory_order_relaxed));
-        }
-      }
-      break;
-    case Node::kN256:
-      for (uint32_t b = 0; b < 256; ++b) {
-        const Node* c = n->children256[b].load(std::memory_order_relaxed);
-        if (c != nullptr) visit(static_cast<uint8_t>(b), c);
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-/// ScanRec's sibling for (key, value) pairs; same subtree pruning. Leaves
-/// carry their full key, so no partial-key reconstruction is needed at
-/// the emit point — `partial` exists only to prune.
-void ScanEntriesRec(const Node* n, uint32_t depth, uint64_t partial,
-                    uint64_t lo, uint64_t hi,
-                    std::vector<std::pair<uint64_t, uint64_t>>* out,
-                    uint64_t* count) {
-  if (n == nullptr) return;
-  if (n->kind == Node::kLeaf) {
-    if (n->key >= lo && n->key <= hi) {
-      out->emplace_back(n->key, n->value.load(std::memory_order_relaxed));
-      ++*count;
-    }
-    return;
-  }
-  const uint32_t pl = n->prefix_len.load(std::memory_order_relaxed);
-  for (uint32_t i = 0; i < pl; ++i) {
-    partial |= static_cast<uint64_t>(
-                   n->prefix[i].load(std::memory_order_relaxed))
-               << (56 - 8 * (depth + i));
-  }
-  depth += pl;
-  const uint32_t free_bits = 64 - 8 * depth;
-  const uint64_t subtree_min = partial;
-  const uint64_t subtree_max =
-      free_bits >= 64
-          ? ~uint64_t{0}
-          : partial |
-                ((free_bits == 0) ? 0 : ((uint64_t{1} << free_bits) - 1));
-  if (subtree_max < lo || subtree_min > hi) return;
-
-  auto visit = [&](uint8_t b, const Node* child) {
-    const uint64_t child_partial =
-        partial | (static_cast<uint64_t>(b) << (56 - 8 * depth));
-    ScanEntriesRec(child, depth + 1, child_partial, lo, hi, out, count);
-  };
-  const uint16_t cnt = n->count.load(std::memory_order_relaxed);
-  switch (n->kind) {
-    case Node::kN4:
-      for (uint16_t i = 0; i < cnt; ++i) {
-        visit(n->keys4[i].load(std::memory_order_relaxed),
-              n->children4[i].load(std::memory_order_relaxed));
-      }
-      break;
-    case Node::kN16:
-      for (uint16_t i = 0; i < cnt; ++i) {
-        visit(n->keys16[i].load(std::memory_order_relaxed),
-              n->children16[i].load(std::memory_order_relaxed));
-      }
-      break;
-    case Node::kN48:
-      for (uint32_t b = 0; b < 256; ++b) {
-        const uint8_t idx =
-            n->child_index48[b].load(std::memory_order_relaxed);
-        if (idx != 0) {
-          visit(static_cast<uint8_t>(b),
-                n->children48[idx - 1].load(std::memory_order_relaxed));
-        }
-      }
-      break;
-    case Node::kN256:
-      for (uint32_t b = 0; b < 256; ++b) {
-        const Node* c = n->children256[b].load(std::memory_order_relaxed);
-        if (c != nullptr) visit(static_cast<uint8_t>(b), c);
-      }
-      break;
-    default:
-      break;
-  }
+    ScanRec(child, depth + 1, child_partial, lo, hi, emit);
+  });
 }
 
 void CensusRec(const Node* n, AdaptiveRadixTree::NodeCounts* counts) {
   if (n == nullptr) return;
-  const uint16_t cnt = n->count.load(std::memory_order_relaxed);
   switch (n->kind) {
     case Node::kLeaf:
       ++counts->leaves;
       return;
     case Node::kN4:
       ++counts->node4;
-      for (uint16_t i = 0; i < cnt; ++i) {
-        CensusRec(n->children4[i].load(std::memory_order_relaxed), counts);
-      }
-      return;
+      break;
     case Node::kN16:
       ++counts->node16;
-      for (uint16_t i = 0; i < cnt; ++i) {
-        CensusRec(n->children16[i].load(std::memory_order_relaxed), counts);
-      }
-      return;
+      break;
     case Node::kN48:
       ++counts->node48;
-      for (uint32_t b = 0; b < 256; ++b) {
-        const uint8_t idx =
-            n->child_index48[b].load(std::memory_order_relaxed);
-        if (idx != 0) {
-          CensusRec(n->children48[idx - 1].load(std::memory_order_relaxed),
-                    counts);
-        }
-      }
-      return;
+      break;
     case Node::kN256:
       ++counts->node256;
-      for (uint32_t b = 0; b < 256; ++b) {
-        CensusRec(n->children256[b].load(std::memory_order_relaxed), counts);
-      }
-      return;
+      break;
   }
+  ForEachChild(n, [counts](uint8_t, const Node* c) { CensusRec(c, counts); });
 }
 
 }  // namespace
@@ -685,7 +504,7 @@ AdaptiveRadixTree& AdaptiveRadixTree::operator=(
 void AdaptiveRadixTree::Insert(uint64_t key, uint64_t value) {
   Node* n = root_.load(std::memory_order_relaxed);
   if (n == nullptr) {
-    root_.store(NewLeaf(key, value), std::memory_order_release);
+    root_.store(new Leaf(key, value), std::memory_order_release);
     ++size_;
     return;
   }
@@ -693,32 +512,34 @@ void AdaptiveRadixTree::Insert(uint64_t key, uint64_t value) {
   uint32_t depth = 0;
   for (;;) {
     if (n->kind == Node::kLeaf) {
-      if (n->key == key) {
-        n->value.store(value, std::memory_order_relaxed);  // overwrite
+      Leaf* leaf = static_cast<Leaf*>(n);
+      if (leaf->key == key) {
+        leaf->value.store(value, std::memory_order_relaxed);  // overwrite
         return;
       }
       // Lazy expansion: split into an inner node holding the common
       // prefix. Both the old leaf and the tree above are unchanged, so
       // publishing the new inner into the parent slot is the only store
       // shared readers can see -- no locks needed.
-      const uint32_t lcp = CommonPrefixLen(n->key, key, depth);
-      Node* inner = NewNode(Node::kN4);
+      const uint32_t lcp = CommonPrefixLen(leaf->key, key, depth);
+      N4* inner = new N4();
       inner->prefix_len.store(static_cast<uint8_t>(lcp),
                               std::memory_order_relaxed);
       for (uint32_t i = 0; i < lcp; ++i) {
         inner->prefix[i].store(KeyByte(key, depth + i),
                                std::memory_order_relaxed);
       }
-      AddChildInPlace(inner, KeyByte(n->key, depth + lcp), n);
-      AddChildInPlace(inner, KeyByte(key, depth + lcp), NewLeaf(key, value));
+      inner->Add(KeyByte(leaf->key, depth + lcp), leaf);
+      inner->Add(KeyByte(key, depth + lcp), new Leaf(key, value));
       slot->store(inner, std::memory_order_release);
       ++size_;
       return;
     }
 
     // Inner node: check the compressed path.
-    const uint32_t pl = n->prefix_len.load(std::memory_order_relaxed);
-    const uint32_t match = PrefixMatchLen(n, key, depth);
+    Inner* in = static_cast<Inner*>(n);
+    const uint32_t pl = in->prefix_len.load(std::memory_order_relaxed);
+    const uint32_t match = PrefixMatchLen(in, key, depth);
     if (match < pl) {
       // Path splits inside the prefix: new N4 with the matching part; `n`
       // keeps the tail of its prefix after the split byte. The prefix
@@ -726,26 +547,23 @@ void AdaptiveRadixTree::Insert(uint64_t key, uint64_t value) {
       // shrink until the parent slot points at the new inner -- otherwise
       // a reader could validate the shrunken prefix at the old depth and
       // descend to the wrong subtree.
-      Node* inner = NewNode(Node::kN4);
+      N4* inner = new N4();
       inner->prefix_len.store(static_cast<uint8_t>(match),
                               std::memory_order_relaxed);
       for (uint32_t i = 0; i < match; ++i) {
-        inner->prefix[i].store(n->prefix[i].load(std::memory_order_relaxed),
+        inner->prefix[i].store(in->prefix[i].load(std::memory_order_relaxed),
                                std::memory_order_relaxed);
       }
-      const uint8_t split_byte =
-          n->prefix[match].load(std::memory_order_relaxed);
-      AddChildInPlace(inner, split_byte, n);
-      AddChildInPlace(inner, KeyByte(key, depth + match),
-                      NewLeaf(key, value));
+      inner->Add(in->prefix[match].load(std::memory_order_relaxed), n);
+      inner->Add(KeyByte(key, depth + match), new Leaf(key, value));
       n->lock.WriteLock();
       const uint8_t remaining = static_cast<uint8_t>(pl - match - 1);
       for (uint32_t i = 0; i < remaining; ++i) {
-        n->prefix[i].store(
-            n->prefix[match + 1 + i].load(std::memory_order_relaxed),
+        in->prefix[i].store(
+            in->prefix[match + 1 + i].load(std::memory_order_relaxed),
             std::memory_order_relaxed);
       }
-      n->prefix_len.store(remaining, std::memory_order_relaxed);
+      in->prefix_len.store(remaining, std::memory_order_relaxed);
       slot->store(inner, std::memory_order_release);
       n->lock.WriteUnlock();
       ++size_;
@@ -756,13 +574,13 @@ void AdaptiveRadixTree::Insert(uint64_t key, uint64_t value) {
     const uint8_t b = KeyByte(key, depth);
     Node* child = FindChild(n, b);
     if (child == nullptr) {
-      Node* leaf = NewLeaf(key, value);
+      Node* leaf = new Leaf(key, value);
       if (HasRoom(n)) {
         n->lock.WriteLock();
         AddChildInPlace(n, b, leaf);
         n->lock.WriteUnlock();
       } else {
-        // Adaptive growth by replacement: N4 -> N16 -> N48 -> N256.
+        // Adaptive growth by replacement.
         Node* big = GrowCopy(n);
         AddChildInPlace(big, b, leaf);
         n->lock.WriteLock();
@@ -791,15 +609,17 @@ bool AdaptiveRadixTree::Find(uint64_t key, uint64_t* value) const {
     uint64_t val = 0;
     for (;;) {
       if (n->kind == Node::kLeaf) {
-        const uint64_t leaf_key = n->key;  // immutable after publication
-        val = n->value.load(std::memory_order_relaxed);
+        const Leaf* leaf = static_cast<const Leaf*>(n);
+        const uint64_t leaf_key = leaf->key;  // immutable after publication
+        val = leaf->value.load(std::memory_order_relaxed);
         n->lock.CheckOrRestart(v, &restart);
         if (restart) break;
         hit = (leaf_key == key);
         break;
       }
-      const uint32_t pl = n->prefix_len.load(std::memory_order_relaxed);
-      const uint32_t match = PrefixMatchLen(n, key, depth);
+      const Inner* in = static_cast<const Inner*>(n);
+      const uint32_t pl = in->prefix_len.load(std::memory_order_relaxed);
+      const uint32_t match = PrefixMatchLen(in, key, depth);
       if (match < pl) {
         n->lock.CheckOrRestart(v, &restart);
         break;  // miss if validated, restart otherwise
@@ -898,9 +718,10 @@ size_t AdaptiveRadixTree::FindBatch(const uint64_t* keys, size_t n,
             const Node* node = cur[j];
             const uint64_t key = keys[base + j];
             if (node->kind == Node::kLeaf) {
-              const uint64_t leaf_key = node->key;
+              const Leaf* leaf = static_cast<const Leaf*>(node);
+              const uint64_t leaf_key = leaf->key;
               const uint64_t val =
-                  node->value.load(std::memory_order_relaxed);
+                  leaf->value.load(std::memory_order_relaxed);
               node->lock.CheckOrRestart(ver[j], &restart);
               if (restart) break;
               if (leaf_key == key) {
@@ -910,9 +731,9 @@ size_t AdaptiveRadixTree::FindBatch(const uint64_t* keys, size_t n,
               }
               continue;
             }
-            const uint32_t pl =
-                node->prefix_len.load(std::memory_order_relaxed);
-            if (PrefixMatchLen(node, key, depth[j]) < pl) {
+            const Inner* in = static_cast<const Inner*>(node);
+            const uint32_t pl = in->prefix_len.load(std::memory_order_relaxed);
+            if (PrefixMatchLen(in, key, depth[j]) < pl) {
               node->lock.CheckOrRestart(ver[j], &restart);
               if (restart) break;
               retire(j, 0, false);
@@ -933,8 +754,8 @@ size_t AdaptiveRadixTree::FindBatch(const uint64_t* keys, size_t n,
             const uint64_t cv = child->lock.ReadLockOrRestart(&restart);
             if (restart) break;
             // The child is the next round's dependent load; put its first
-            // lines in flight now. Leaves keep key/value in the first
-            // line; inner nodes spill their child arrays into the second.
+            // two lines in flight now. They hold a whole leaf or N4 and
+            // the header and key bytes of an N16.
             HWSTAR_PREFETCH(child);
             HWSTAR_PREFETCH(reinterpret_cast<const char*>(child) + 64);
             cur[j] = child;
@@ -957,7 +778,7 @@ bool AdaptiveRadixTree::Erase(uint64_t key) {
   if (n == nullptr) return false;
 
   if (n->kind == Node::kLeaf) {
-    if (n->key != key) return false;
+    if (static_cast<Leaf*>(n)->key != key) return false;
     n->lock.WriteLock();
     root_.store(nullptr, std::memory_order_release);
     n->lock.WriteUnlockObsolete();
@@ -971,8 +792,9 @@ bool AdaptiveRadixTree::Erase(uint64_t key) {
   std::atomic<Node*>* nslot = &root_;
   uint32_t depth = 0;
   for (;;) {
-    const uint32_t pl = n->prefix_len.load(std::memory_order_relaxed);
-    if (PrefixMatchLen(n, key, depth) < pl) return false;
+    Inner* in = static_cast<Inner*>(n);
+    const uint32_t pl = in->prefix_len.load(std::memory_order_relaxed);
+    if (PrefixMatchLen(in, key, depth) < pl) return false;
     depth += pl;
     const uint8_t b = KeyByte(key, depth);
     Node* child = FindChild(n, b);
@@ -984,12 +806,12 @@ bool AdaptiveRadixTree::Erase(uint64_t key) {
       ++depth;
       continue;
     }
-    if (child->key != key) return false;
+    if (static_cast<Leaf*>(child)->key != key) return false;
 
     // Unlink the leaf from `n`; collapse `n` if one child remains.
     n->lock.WriteLock();
     RemoveChildInPlace(n, b);
-    const uint16_t cnt = n->count.load(std::memory_order_relaxed);
+    const uint16_t cnt = in->count.load(std::memory_order_relaxed);
     HWSTAR_DCHECK(cnt >= 1);  // inner nodes always carried >= 2 children
     if (cnt >= 2) {
       n->lock.WriteUnlock();
@@ -1004,27 +826,25 @@ bool AdaptiveRadixTree::Erase(uint64_t key) {
       Node* only = nullptr;
       OnlyChild(n, &edge, &only);
       if (only->kind != Node::kLeaf) {
+        Inner* o = static_cast<Inner*>(only);
         only->lock.WriteLock();
-        const uint32_t n_pl = n->prefix_len.load(std::memory_order_relaxed);
-        const uint32_t o_pl =
-            only->prefix_len.load(std::memory_order_relaxed);
-        HWSTAR_CHECK(n_pl + 1 + o_pl <= sizeof(Node::prefix) /
-                                            sizeof(std::atomic<uint8_t>));
-        uint8_t merged[sizeof(Node::prefix) / sizeof(std::atomic<uint8_t>)];
+        const uint32_t n_pl = in->prefix_len.load(std::memory_order_relaxed);
+        const uint32_t o_pl = o->prefix_len.load(std::memory_order_relaxed);
+        HWSTAR_CHECK(n_pl + 1 + o_pl <= kMaxPrefix);
+        uint8_t merged[kMaxPrefix];
         for (uint32_t i = 0; i < n_pl; ++i) {
-          merged[i] = n->prefix[i].load(std::memory_order_relaxed);
+          merged[i] = in->prefix[i].load(std::memory_order_relaxed);
         }
         merged[n_pl] = edge;
         for (uint32_t i = 0; i < o_pl; ++i) {
-          merged[n_pl + 1 + i] =
-              only->prefix[i].load(std::memory_order_relaxed);
+          merged[n_pl + 1 + i] = o->prefix[i].load(std::memory_order_relaxed);
         }
         const uint32_t merged_len = n_pl + 1 + o_pl;
         for (uint32_t i = 0; i < merged_len; ++i) {
-          only->prefix[i].store(merged[i], std::memory_order_relaxed);
+          o->prefix[i].store(merged[i], std::memory_order_relaxed);
         }
-        only->prefix_len.store(static_cast<uint8_t>(merged_len),
-                               std::memory_order_relaxed);
+        o->prefix_len.store(static_cast<uint8_t>(merged_len),
+                            std::memory_order_relaxed);
         nslot->store(only, std::memory_order_release);
         n->lock.WriteUnlockObsolete();
         only->lock.WriteUnlock();
@@ -1048,7 +868,11 @@ bool AdaptiveRadixTree::Erase(uint64_t key) {
 uint64_t AdaptiveRadixTree::RangeScan(uint64_t lo, uint64_t hi,
                                       std::vector<uint64_t>* out) const {
   uint64_t count = 0;
-  ScanRec(root_.load(std::memory_order_acquire), 0, 0, lo, hi, out, &count);
+  auto emit = [&](uint64_t, uint64_t value) {
+    out->push_back(value);
+    ++count;
+  };
+  ScanRec(root_.load(std::memory_order_acquire), 0, 0, lo, hi, emit);
   return count;
 }
 
@@ -1056,8 +880,11 @@ uint64_t AdaptiveRadixTree::RangeScanEntries(
     uint64_t lo, uint64_t hi,
     std::vector<std::pair<uint64_t, uint64_t>>* out) const {
   uint64_t count = 0;
-  ScanEntriesRec(root_.load(std::memory_order_acquire), 0, 0, lo, hi, out,
-                 &count);
+  auto emit = [&](uint64_t key, uint64_t value) {
+    out->emplace_back(key, value);
+    ++count;
+  };
+  ScanRec(root_.load(std::memory_order_acquire), 0, 0, lo, hi, emit);
   return count;
 }
 
@@ -1068,9 +895,10 @@ AdaptiveRadixTree::NodeCounts AdaptiveRadixTree::CountNodes() const {
 }
 
 uint64_t AdaptiveRadixTree::MemoryBytes() const {
-  NodeCounts c = CountNodes();
-  const uint64_t inner = c.node4 + c.node16 + c.node48 + c.node256;
-  return (inner + c.leaves) * sizeof(Node) + c.node256 * 256 * sizeof(Node*);
+  const NodeCounts c = CountNodes();
+  return c.leaves * sizeof(Leaf) + c.node4 * sizeof(N4) +
+         c.node16 * sizeof(N16) + c.node48 * sizeof(N48) +
+         c.node256 * sizeof(N256);
 }
 
 }  // namespace hwstar::ops

@@ -17,11 +17,14 @@ namespace hwstar::ops {
 /// proceedings as the keynote): a 256-ary trie over the big-endian bytes
 /// of the key whose inner nodes adapt among four physical layouts
 /// (Node4/16/48/256) so that space stays bounded while every node fits in
-/// a handful of cache lines. Combined with lazy expansion (leaves may sit
-/// at any depth) and path compression (one-child chains collapse into a
-/// per-node prefix), lookups touch O(key bytes) cache lines instead of
-/// O(log n) dependent misses -- the hardware-conscious answer to the
-/// binary search tree. Keys here are uint64, compared in numeric order.
+/// a handful of cache lines. Each kind is its own allocation at its own
+/// size: a leaf is 32 bytes (key and value), N4 56, N16 168, N48 664 and
+/// N256 2072 (its 256 child slots inline). Combined with lazy expansion
+/// (leaves may sit at any depth) and path compression (one-child chains
+/// collapse into a per-node prefix), lookups touch O(key bytes) cache
+/// lines instead of O(log n) dependent misses -- the hardware-conscious
+/// answer to the binary search tree. Keys here are uint64, compared in
+/// numeric order.
 ///
 /// Concurrency contract (optimistic lock coupling, Leis et al. DaMoN'16):
 ///  - Writers (Insert/Erase) must be externally serialized -- one writer
@@ -98,7 +101,8 @@ class AdaptiveRadixTree {
   };
   NodeCounts CountNodes() const;
 
-  /// Approximate heap footprint in bytes.
+  /// Heap footprint in bytes: the exact sum of every node's kind size
+  /// (allocator overhead excluded).
   uint64_t MemoryBytes() const;
 
   /// Attaches an epoch-based reclamation domain: nodes unlinked by Insert
@@ -109,8 +113,8 @@ class AdaptiveRadixTree {
   void SetEpochManager(sync::EpochManager* epoch) { epoch_ = epoch; }
   sync::EpochManager* epoch_manager() const { return epoch_; }
 
-  /// Implementation detail (defined in art.cc); public only so internal
-  /// helpers can name it.
+  /// The header every node kind starts with (defined in art.cc); public
+  /// only so internal helpers can name it.
   struct Node;
 
  private:

@@ -4,8 +4,6 @@
 
 #include "hwstar/hw/machine_model.h"
 #include "hwstar/mem/aligned.h"
-#include "hwstar/mem/arena.h"
-#include "hwstar/mem/memory_pool.h"
 #include "hwstar/mem/numa_allocator.h"
 
 namespace hwstar::mem {
@@ -32,85 +30,6 @@ TEST(AlignedTest, BufferIsWritable) {
   std::memset(buf.get(), 0xAB, 4096);
   EXPECT_EQ(buf[0], 0xAB);
   EXPECT_EQ(buf[4095], 0xAB);
-}
-
-TEST(ArenaTest, BumpAllocatesDistinctRegions) {
-  Arena arena;
-  char* a = arena.AllocateArray<char>(100);
-  char* b = arena.AllocateArray<char>(100);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  std::memset(a, 1, 100);
-  std::memset(b, 2, 100);
-  EXPECT_EQ(a[99], 1);
-  EXPECT_EQ(b[0], 2);
-}
-
-TEST(ArenaTest, AlignmentHonored) {
-  Arena arena;
-  arena.Allocate(3);  // misalign the cursor
-  void* p = arena.Allocate(64, 64);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 64, 0u);
-}
-
-TEST(ArenaTest, LargeAllocationGetsOwnBlock) {
-  Arena arena(1 << 20);
-  void* p = arena.Allocate(4 << 20);
-  ASSERT_NE(p, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), 4u << 20);
-  // Arena remains usable afterwards.
-  void* q = arena.Allocate(128);
-  EXPECT_NE(q, nullptr);
-}
-
-TEST(ArenaTest, ResetRewinds) {
-  Arena arena;
-  arena.Allocate(1000);
-  size_t reserved = arena.bytes_reserved();
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  EXPECT_LE(arena.bytes_reserved(), reserved);
-  void* p = arena.Allocate(100);
-  EXPECT_NE(p, nullptr);
-}
-
-TEST(ArenaTest, TracksAllocatedBytes) {
-  Arena arena;
-  arena.Allocate(100);
-  arena.Allocate(200);
-  EXPECT_EQ(arena.bytes_allocated(), 300u);
-}
-
-TEST(MemoryPoolTest, TracksUsageAndPeak) {
-  MemoryPool pool;
-  auto r1 = pool.Allocate(1000);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(pool.bytes_in_use(), 1000);
-  auto r2 = pool.Allocate(500);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(pool.bytes_in_use(), 1500);
-  EXPECT_EQ(pool.peak_bytes(), 1500);
-  pool.Free(r1.value(), 1000);
-  EXPECT_EQ(pool.bytes_in_use(), 500);
-  EXPECT_EQ(pool.peak_bytes(), 1500);
-  pool.Free(r2.value(), 500);
-  EXPECT_EQ(pool.bytes_in_use(), 0);
-}
-
-TEST(MemoryPoolTest, EnforcesLimit) {
-  MemoryPool pool(1024);
-  auto r1 = pool.Allocate(512);
-  ASSERT_TRUE(r1.ok());
-  auto r2 = pool.Allocate(1024);
-  EXPECT_FALSE(r2.ok());
-  EXPECT_EQ(r2.status().code(), StatusCode::kResourceExhausted);
-  // Failed allocation must not leak accounting.
-  EXPECT_EQ(pool.bytes_in_use(), 512);
-  pool.Free(r1.value(), 512);
-}
-
-TEST(MemoryPoolTest, DefaultPoolSingleton) {
-  EXPECT_EQ(MemoryPool::Default(), MemoryPool::Default());
 }
 
 TEST(NumaAllocatorTest, RegistersPlacementWithModel) {

@@ -5,6 +5,7 @@
 
 #include "hwstar/common/random.h"
 #include "hwstar/ops/art.h"
+#include "hwstar/sync/epoch.h"
 
 namespace hwstar::ops {
 namespace {
@@ -118,10 +119,68 @@ TEST(ArtTest, MoveSemantics) {
   EXPECT_TRUE(a.Find(1, &v));
 }
 
-TEST(ArtTest, MemoryBytesNonZero) {
+/// The per-kind node sizes: leaf 32, N4 56, N16 168, N48 664, N256 2072.
+uint64_t KindBytes(const AdaptiveRadixTree::NodeCounts& c) {
+  return c.leaves * 32 + c.node4 * 56 + c.node16 * 168 + c.node48 * 664 +
+         c.node256 * 2072;
+}
+
+/// Keys that grow a node of every kind: 0..299 puts an N256 and an N48
+/// under an N4, and 16 and 3 keys under two more subtrees add an N16 and
+/// an N4.
+void InsertEveryKind(AdaptiveRadixTree* art) {
+  for (uint64_t k = 0; k < 300; ++k) art->Insert(k, k);
+  for (uint64_t k = 0; k < 16; ++k) art->Insert(0x20000 | k, k);
+  for (uint64_t k = 0; k < 3; ++k) art->Insert(0x30000 | k, k);
+}
+
+TEST(ArtTest, MemoryBytesPerKind) {
+  AdaptiveRadixTree mixed;
+  InsertEveryKind(&mixed);
+  const auto counts = mixed.CountNodes();
+  EXPECT_GE(counts.node4, 2u);
+  EXPECT_EQ(counts.node16, 1u);
+  EXPECT_EQ(counts.node48, 1u);
+  EXPECT_EQ(counts.node256, 1u);
+  EXPECT_EQ(mixed.MemoryBytes(), KindBytes(counts));
+
+  // A leaf costs its key and value, not the widest inner layout: both
+  // kv_serve's sparse shape (keys i << 48) and dense keys stay far under
+  // 100 bytes per key.
+  constexpr uint64_t kKeys = uint64_t{1} << 16;
+  AdaptiveRadixTree sparse;
+  AdaptiveRadixTree dense;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    sparse.Insert(i << 48, i);
+    dense.Insert(i, i);
+  }
+  for (const AdaptiveRadixTree* art : {&sparse, &dense}) {
+    EXPECT_EQ(art->MemoryBytes(), KindBytes(art->CountNodes()));
+    EXPECT_LT(art->MemoryBytes() / art->size(), 100u);
+  }
+}
+
+TEST(ArtTest, EraseRetiresEveryNodeAtItsKindSize) {
+  sync::EpochManager epoch;
   AdaptiveRadixTree art;
-  for (uint64_t k = 0; k < 1000; ++k) art.Insert(k, k);
-  EXPECT_GT(art.MemoryBytes(), 1000u * 8);
+  art.SetEpochManager(&epoch);
+  InsertEveryKind(&art);
+  epoch.ReclaimAll();  // the nodes growth replaced
+  ASSERT_EQ(epoch.stats().retired_bytes, 0u);
+  const uint64_t bytes = art.MemoryBytes();
+  {
+    // A held pin keeps every retired node allocated, so the retire
+    // accounting adds up to the whole tree.
+    sync::EpochManager::Guard guard(epoch);
+    for (uint64_t k = 0; k < 300; ++k) ASSERT_TRUE(art.Erase(k));
+    for (uint64_t k = 0; k < 16; ++k) ASSERT_TRUE(art.Erase(0x20000 | k));
+    for (uint64_t k = 0; k < 3; ++k) ASSERT_TRUE(art.Erase(0x30000 | k));
+    EXPECT_EQ(art.size(), 0u);
+    EXPECT_EQ(art.MemoryBytes(), 0u);
+    EXPECT_EQ(epoch.stats().retired_bytes, bytes);
+  }
+  epoch.ReclaimAll();
+  EXPECT_EQ(epoch.stats().retired_bytes, 0u);
 }
 
 TEST(ArtTest, EraseBasic) {
