@@ -15,7 +15,17 @@ inline constexpr size_t kCacheLineBytes = 64;
 /// sizeof(void*)). Returns nullptr on failure. Free with AlignedFree.
 void* AlignedAlloc(size_t bytes, size_t alignment = kCacheLineBytes);
 
-/// Frees memory obtained from AlignedAlloc.
+/// The x86-64 huge page size: a hardware constant, not a tunable.
+inline constexpr size_t kHugePageBytes = size_t{2} << 20;
+
+/// Allocates a large, long-lived array of `bytes` bytes. From
+/// kHugePageBytes up, the memory is huge-page aligned, rounded up to whole
+/// huge pages and advised for transparent huge pages (Linux only), so a
+/// randomly probed array misses the TLB far less; smaller arrays are
+/// cache-line aligned. Returns nullptr on failure. Free with AlignedFree.
+void* HugePageAlloc(size_t bytes);
+
+/// Frees memory obtained from AlignedAlloc or HugePageAlloc.
 void AlignedFree(void* ptr);
 
 /// Deleter for std::unique_ptr over AlignedAlloc memory.

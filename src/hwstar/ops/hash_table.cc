@@ -1,5 +1,7 @@
 #include "hwstar/ops/hash_table.h"
 
+#include <new>
+
 #include "hwstar/common/bits.h"
 #include "hwstar/sync/epoch.h"
 
@@ -10,14 +12,22 @@ LinearProbeTable::LinearProbeTable(uint64_t expected, double load_factor) {
   uint64_t min_cap = static_cast<uint64_t>(
       static_cast<double>(expected < 1 ? 1 : expected) / load_factor);
   uint64_t cap = bits::NextPowerOfTwo(min_cap < 8 ? 8 : min_cap);
-  keys_.reset(new std::atomic<uint64_t>[cap]);
-  values_.reset(new std::atomic<uint64_t>[cap]);
-  for (uint64_t i = 0; i < cap; ++i) {
-    keys_[i].store(kEmpty, std::memory_order_relaxed);
-    values_[i].store(0, std::memory_order_relaxed);
-  }
+  keys_ = MakeSlotArray(cap, kEmpty);
+  values_ = MakeSlotArray(cap, 0);
   mask_ = cap - 1;
   shift_ = 64 - bits::Log2Floor(cap);
+}
+
+LinearProbeTable::SlotArray LinearProbeTable::MakeSlotArray(uint64_t n,
+                                                            uint64_t init) {
+  void* raw = mem::HugePageAlloc(n * sizeof(std::atomic<uint64_t>));
+  HWSTAR_CHECK(raw != nullptr);
+  auto* slots = static_cast<std::atomic<uint64_t>*>(raw);
+  // Each slot is constructed once, already holding its initial value.
+  // std::atomic is trivially destructible, so AlignedFree alone releases
+  // the array.
+  for (uint64_t i = 0; i < n; ++i) new (&slots[i]) std::atomic<uint64_t>(init);
+  return SlotArray(slots);
 }
 
 void LinearProbeTable::Insert(uint64_t key, uint64_t value) {

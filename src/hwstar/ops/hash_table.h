@@ -9,6 +9,7 @@
 
 #include "hwstar/common/hash.h"
 #include "hwstar/common/macros.h"
+#include "hwstar/mem/aligned.h"
 #include "hwstar/ops/probe_kernels.h"
 #include "hwstar/simd/kernels.h"
 #include "hwstar/tune/tunable.h"
@@ -19,12 +20,15 @@ class EpochManager;
 
 namespace hwstar::ops {
 
-/// Open-addressing hash table with linear probing, 16-byte slots
-/// (key+value), power-of-two capacity. Duplicate keys are supported
-/// (each insert takes a slot); lookups visit the whole chain. The layout
-/// choice -- one flat array, no pointers -- is the hardware-conscious one:
-/// a probe touches one or two consecutive cache lines instead of chasing
-/// a chain across the heap.
+/// Open-addressing hash table with linear probing over two parallel
+/// power-of-two arrays, `keys_` and `values_` (8 bytes each per slot).
+/// Duplicate keys are supported (each insert takes a slot); lookups visit
+/// the whole chain. The layout choice -- flat arrays, no pointers -- is
+/// the hardware-conscious one: a probe scans consecutive key lines instead
+/// of chasing a chain across the heap, and a hit reads one more line, in
+/// `values_`. Arrays of mem::kHugePageBytes or more sit on transparent
+/// huge pages (mem::HugePageAlloc), so a probe into a table far above the
+/// last-level cache misses the TLB far less often.
 ///
 /// Concurrency contract (atomic publication): a single writer may Insert
 /// concurrently with any number of readers. Insert stores the value, then
@@ -209,8 +213,15 @@ class LinearProbeTable {
     }
   }
 
-  std::unique_ptr<std::atomic<uint64_t>[]> keys_;
-  std::unique_ptr<std::atomic<uint64_t>[]> values_;
+  using SlotArray =
+      std::unique_ptr<std::atomic<uint64_t>[], mem::AlignedDeleter>;
+
+  /// `n` atomics from mem::HugePageAlloc, each constructed once holding
+  /// `init`.
+  static SlotArray MakeSlotArray(uint64_t n, uint64_t init);
+
+  SlotArray keys_;
+  SlotArray values_;
   uint64_t mask_;
   uint32_t shift_;
   uint64_t size_ = 0;

@@ -1,7 +1,10 @@
 #include "hwstar/stream/window.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "hwstar/common/bits.h"
+#include "hwstar/common/hash.h"
 #include "hwstar/common/macros.h"
 
 namespace hwstar::stream {
@@ -18,7 +21,65 @@ void WindowAggregator::Bind(uint32_t partitions) {
 }
 
 size_t WindowAggregator::OpenWindows(uint32_t partition) const {
-  return states_[partition].windows.size();
+  return states_[partition].open.size();
+}
+
+WindowAggregator::Slot* WindowAggregator::WindowTable::Find(uint64_t key) {
+  const size_t mask = slots_.size() - 1;
+  const uint32_t shift = 64 - bits::Log2Floor(slots_.size());
+  for (size_t i = Mix64(key) >> shift;; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (s.count == 0 || s.key == key) return &s;
+  }
+}
+
+void WindowAggregator::WindowTable::Grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  for (const Slot& s : old) {
+    if (s.count != 0) *Find(s.key) = s;
+  }
+}
+
+void WindowAggregator::WindowTable::Add(uint64_t key, int64_t value) {
+  Slot* s = Find(key);
+  if (s->count == 0) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      Grow();
+      s = Find(key);
+    }
+    s->key = key;
+    ++size_;
+  }
+  s->sum += value;
+  s->count += 1;
+}
+
+void WindowAggregator::WindowTable::Drain(std::vector<Slot>* out) {
+  for (Slot& s : slots_) {
+    if (s.count == 0) continue;
+    out->push_back(s);
+    s = Slot{};
+  }
+  size_ = 0;
+}
+
+size_t WindowAggregator::WindowAt(PartitionState& st, size_t hint,
+                                  uint64_t start) {
+  std::vector<OpenWindow>& open = st.open;
+  if (hint < open.size() && open[hint].start == start) return hint;
+  const auto it = std::lower_bound(
+      open.begin(), open.end(), start,
+      [](const OpenWindow& w, uint64_t s) { return w.start < s; });
+  const size_t idx = static_cast<size_t>(it - open.begin());
+  if (it != open.end() && it->start == start) return idx;
+  if (st.spare.empty()) {
+    open.insert(it, OpenWindow{start, WindowTable()});
+  } else {
+    open.insert(it, OpenWindow{start, std::move(st.spare.back())});
+    st.spare.pop_back();
+  }
+  return idx;
 }
 
 void WindowAggregator::OnBatch(uint32_t partition, const StreamBatch& batch,
@@ -38,10 +99,16 @@ void WindowAggregator::OnBatch(uint32_t partition, const StreamBatch& batch,
       ++late;
       continue;
     }
-    for (uint64_t start = spec_.FirstStart(ts); start <= ts; start += slide) {
-      Partial& partial = st.windows[start][batch.keys[i]];
-      partial.sum += batch.values[i];
-      partial.count += 1;
+    // The covering windows' starts are consecutive multiples of the
+    // slide, so after the first they sit at consecutive indices.
+    const uint64_t first = spec_.FirstStart(ts);
+    st.last = WindowAt(st, st.last, first);
+    size_t idx = st.last;
+    for (uint64_t start = first;;) {
+      st.open[idx].table.Add(batch.keys[i], batch.values[i]);
+      start += slide;
+      if (start > ts) break;
+      idx = WindowAt(st, idx + 1, start);
     }
   }
   if (late_dropped != nullptr) *late_dropped = late;
@@ -52,19 +119,22 @@ void WindowAggregator::OnBatch(uint32_t partition, const StreamBatch& batch,
   // sorted so emission order is deterministic (the bit-identity tests
   // compare against an offline computation directly).
   const bool flush = st.watermark == StreamBatch::kFlushWatermark;
-  std::vector<std::pair<uint64_t, Partial>> sorted;
-  while (!st.windows.empty()) {
-    const auto it = st.windows.begin();
-    const uint64_t end = it->first + spec_.size;
+  size_t closed = 0;
+  for (; closed < st.open.size(); ++closed) {
+    OpenWindow& w = st.open[closed];
+    const uint64_t end = w.start + spec_.size;
     if (!flush && (st.watermark == 0 || end > st.watermark)) break;
-    sorted.assign(it->second.begin(), it->second.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [key, partial] : sorted) {
-      out->push_back({it->first, end, key, partial.sum, partial.count});
+    st.drained.clear();
+    w.table.Drain(&st.drained);
+    std::sort(st.drained.begin(), st.drained.end(),
+              [](const Slot& a, const Slot& b) { return a.key < b.key; });
+    for (const Slot& s : st.drained) {
+      out->push_back({w.start, end, s.key, s.sum, s.count});
     }
-    st.windows.erase(it);
+    st.spare.push_back(std::move(w.table));
   }
+  st.open.erase(st.open.begin(),
+                st.open.begin() + static_cast<std::ptrdiff_t>(closed));
 }
 
 }  // namespace hwstar::stream

@@ -1,9 +1,8 @@
 #ifndef HWSTAR_STREAM_WINDOW_H_
 #define HWSTAR_STREAM_WINDOW_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "hwstar/mem/aligned.h"
@@ -56,6 +55,12 @@ struct WindowResult {
 /// aligned so two workers updating neighboring partitions don't share a
 /// line.
 ///
+/// State layout: each open window's keyed partials live in one flat
+/// open-addressing table (see WindowTable), and a closed window's table is
+/// cleared and kept on its partition's spare list for the next window, so
+/// once the tables have grown to the stream's keys per window, folding a
+/// row allocates nothing.
+///
 /// Semantics:
 ///  - A record is late iff its event time is below the partition's
 ///    current watermark (the watermark of the previously processed batch;
@@ -64,12 +69,15 @@ struct WindowResult {
 ///  - After a batch's records are folded in, the batch watermark closes
 ///    every window whose end <= watermark: its per-key aggregates are
 ///    appended to `out` in ascending (window_start, key) order and the
-///    window's state is freed. Windows that saw no records emit nothing —
-///    there is no zero-filled emission.
+///    window's table is recycled. Windows that saw no records emit
+///    nothing — there is no zero-filled emission.
 ///  - StreamBatch::kFlushWatermark closes all remaining windows (end of a
 ///    finite stream).
 class WindowAggregator {
  public:
+  /// Slots of a window table before its first growth.
+  static constexpr size_t kInitialTableSlots = 64;
+
   explicit WindowAggregator(WindowSpec spec);
 
   /// Sizes per-partition state; called by Pipeline::Build.
@@ -87,17 +95,54 @@ class WindowAggregator {
   const WindowSpec& spec() const { return spec_; }
 
  private:
-  struct Partial {
+  /// One key's partial aggregate; count == 0 marks an empty slot, so every
+  /// key value (0 and ~0 included) is a legal key.
+  struct Slot {
+    uint64_t key = 0;
     int64_t sum = 0;
     uint64_t count = 0;
   };
-  /// Keyed partials per open window, ordered by window start so emission
-  /// walks closed windows off the front. Cache-line aligned: partition
-  /// states are read-write hot from different workers.
+
+  /// One window's keyed partials: linear probing over a power-of-two slot
+  /// array, home slot from the high bits of Mix64, doubling at half load.
+  class WindowTable {
+   public:
+    WindowTable() : slots_(kInitialTableSlots) {}
+
+    void Add(uint64_t key, int64_t value);
+    /// Appends the occupied slots to `out` and leaves the table empty
+    /// (capacity kept).
+    void Drain(std::vector<Slot>* out);
+
+   private:
+    Slot* Find(uint64_t key);
+    void Grow();
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+  };
+
+  struct OpenWindow {
+    uint64_t start;
+    WindowTable table;
+  };
+
+  /// Open windows ascending by start, so emission takes closed windows
+  /// off the front; `last` caches the index the previous row resolved to
+  /// (rows arrive nearly in event-time order, so it is usually right).
+  /// Cache-line aligned: partition states are read-write hot from
+  /// different workers.
   struct alignas(mem::kCacheLineBytes) PartitionState {
-    std::map<uint64_t, std::unordered_map<uint64_t, Partial>> windows;
+    std::vector<OpenWindow> open;
+    std::vector<WindowTable> spare;  ///< cleared tables of closed windows
+    std::vector<Slot> drained;       ///< emission scratch
+    size_t last = 0;
     uint64_t watermark = 0;
   };
+
+  /// Index of the open window starting at `start`, trying `hint` first
+  /// and opening the window (on a spare table) when absent.
+  static size_t WindowAt(PartitionState& st, size_t hint, uint64_t start);
 
   WindowSpec spec_;
   std::vector<PartitionState> states_;

@@ -15,6 +15,7 @@
 
 #include "hwstar/common/random.h"
 #include "hwstar/kv/kv_store.h"
+#include "hwstar/mem/aligned.h"
 #include "hwstar/ops/art.h"
 #include "hwstar/ops/bloom_filter.h"
 #include "hwstar/ops/btree.h"
@@ -87,16 +88,26 @@ void CheckFindBatchIdentity(const Index& index,
   }
 }
 
+// Keys of the large LinearProbeTable case: its arrays reach
+// mem::kHugePageBytes, so they come from the huge-page allocation path
+// (and its free).
+constexpr size_t kHugeTableKeys = size_t{1} << 18;
+
 TEST(ProbeBatchTest, LinearProbeFindBatchMatchesScalarFind) {
   Xoshiro256 rng(1);
-  std::vector<uint64_t> keys(2000);
-  LinearProbeTable table(keys.size());
-  for (auto& k : keys) {
-    k = rng.Next() >> 1;
-    table.Insert(k, k * 3 + 1);
-  }
-  for (size_t n : kBatchSizes) {
-    CheckFindBatchIdentity(table, MakeProbeKeys(keys, n, rng));
+  for (size_t count : {size_t{2000}, kHugeTableKeys}) {
+    std::vector<uint64_t> keys(count);
+    LinearProbeTable table(keys.size());
+    for (auto& k : keys) {
+      k = rng.Next() >> 1;
+      table.Insert(k, k * 3 + 1);
+    }
+    if (count == kHugeTableKeys) {
+      ASSERT_GE(table.MemoryBytes() / 2, mem::kHugePageBytes);
+    }
+    for (size_t n : kBatchSizes) {
+      CheckFindBatchIdentity(table, MakeProbeKeys(keys, n, rng));
+    }
   }
 }
 
@@ -193,28 +204,34 @@ TEST(ProbeBatchTest, LinearProbeBatchMatchesScalarProbeInOrder) {
   // LinearProbeTable supports duplicate keys; ProbeBatch must report every
   // match, in the exact order of the scalar loop (GP preserves order).
   Xoshiro256 rng(6);
-  std::vector<uint64_t> keys(500);
-  LinearProbeTable table(keys.size() * 2);
-  for (auto& k : keys) {
-    k = rng.Next() >> 1;
-    table.Insert(k, k);
-    if (rng.NextBounded(4) == 0) table.Insert(k, k + 1);  // duplicate key
-  }
-  const auto probes = MakeProbeKeys(keys, 777, rng);
-  std::vector<std::pair<size_t, uint64_t>> want, got;
-  uint64_t want_matches = 0;
-  for (size_t i = 0; i < probes.size(); ++i) {
-    want_matches += table.Probe(probes[i], [&](uint64_t v) {
-      want.emplace_back(i, v);
-    });
-  }
-  for (uint32_t group : kGroupSizes) {
-    got.clear();
-    const uint64_t matches = table.ProbeBatch(
-        probes.data(), probes.size(),
-        [&](size_t i, uint64_t v) { got.emplace_back(i, v); }, group);
-    EXPECT_EQ(matches, want_matches) << "group=" << group;
-    EXPECT_EQ(got, want) << "group=" << group;
+  for (size_t count : {size_t{500}, kHugeTableKeys}) {
+    std::vector<uint64_t> keys(count);
+    LinearProbeTable table(keys.size() * 2);
+    for (auto& k : keys) {
+      k = rng.Next() >> 1;
+      table.Insert(k, k);
+      if (rng.NextBounded(4) == 0) table.Insert(k, k + 1);  // duplicate key
+    }
+    if (count == kHugeTableKeys) {
+      ASSERT_GE(table.MemoryBytes() / 2, mem::kHugePageBytes);
+    }
+    const auto probes = MakeProbeKeys(keys, 777, rng);
+    std::vector<std::pair<size_t, uint64_t>> want, got;
+    uint64_t want_matches = 0;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      want_matches += table.Probe(probes[i], [&](uint64_t v) {
+        want.emplace_back(i, v);
+      });
+    }
+    for (uint32_t group : kGroupSizes) {
+      got.clear();
+      const uint64_t matches = table.ProbeBatch(
+          probes.data(), probes.size(),
+          [&](size_t i, uint64_t v) { got.emplace_back(i, v); }, group);
+      EXPECT_EQ(matches, want_matches)
+          << "keys=" << count << " group=" << group;
+      EXPECT_EQ(got, want) << "keys=" << count << " group=" << group;
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hwstar/common/random.h"
 #include "hwstar/exec/executor.h"
 #include "hwstar/obs/registry.h"
 #include "hwstar/stream/join.h"
@@ -265,6 +266,103 @@ std::vector<WindowResult> OfflineWindows(const StreamBatch& rows,
   out.reserve(acc.size());
   for (const auto& [k, v] : acc) out.push_back(v);
   return out;  // map order == (window_start, key) order
+}
+
+TEST(WindowAggregatorTest, ManyKeysMatchOfflineFold) {
+  constexpr uint64_t kRows = 24000;
+  constexpr uint64_t kRowsPerTick = 8;  // ~800 rows per 100-tick window
+  constexpr uint64_t kKeySpace = 1000;  // repeats, yet hundreds of keys
+  constexpr uint64_t kLateness = 16;
+  constexpr size_t kBatchRows = 300;
+  // The passes replay the rows this much later each: a multiple of every
+  // size and slide below, so the second pass's windows are the first's,
+  // shifted. (Starting past 0 also gives the first rows their full set of
+  // sliding windows.)
+  constexpr uint64_t kShift = 10000;
+  constexpr uint64_t kMaxKey = ~uint64_t{0};
+
+  for (const WindowSpec spec :
+       {WindowSpec::Tumbling(100), WindowSpec::Sliding(100, 25)}) {
+    WindowAggregator agg(spec);
+    agg.Bind(1);
+    uint64_t watermark = 0;  // the aggregator's, mirrored
+
+    // Feeds the rows, event times offset by t0, through partition 0 in
+    // batches carrying the pipeline's watermark; the last batch carries
+    // `closing` instead. Every 101st row lags 3 * kLateness behind, so it
+    // is late once a watermark is up; the rest go to `kept`.
+    const auto run_pass = [&](uint64_t t0, uint64_t closing,
+                              StreamBatch* kept) {
+      Xoshiro256 rng(7);
+      WatermarkTracker tracker(kLateness);
+      std::vector<WindowResult> out;
+      uint64_t late = 0, want_late = 0;
+      StreamBatch batch;
+      const auto feed = [&](uint64_t batch_watermark) {
+        batch.watermark = batch_watermark;
+        uint64_t dropped = 0;
+        agg.OnBatch(0, batch, &out, &dropped);
+        late += dropped;
+        watermark = std::max(watermark, batch_watermark);
+        batch = StreamBatch();
+      };
+      for (uint64_t r = 0; r < kRows; ++r) {
+        const uint64_t key = r % 97 == 0   ? 0
+                             : r % 89 == 0 ? kMaxKey
+                                           : rng.NextBounded(kKeySpace);
+        const int64_t value = static_cast<int64_t>(rng.NextBounded(1000)) - 500;
+        const uint64_t lag =
+            r % 101 == 0 ? 3 * kLateness : rng.NextBounded(kLateness / 2);
+        const uint64_t tick = r / kRowsPerTick;
+        const uint64_t ts = t0 + (tick > lag ? tick - lag : 0);
+        batch.Append(key, value, ts);
+        tracker.Observe(ts);
+        if (watermark > 0 && ts < watermark) {
+          ++want_late;
+        } else {
+          kept->Append(key, value, ts);
+        }
+        if (batch.size() == kBatchRows) feed(tracker.watermark());
+      }
+      feed(closing);
+      EXPECT_GT(want_late, 0u);
+      EXPECT_EQ(late, want_late);
+      EXPECT_EQ(agg.OpenWindows(0), 0u);
+      return out;
+    };
+
+    // First pass: an ordinary watermark past its last window closes
+    // everything, leaving every table on the spare list. (A flush is
+    // terminal: after it every row is late.)
+    StreamBatch kept1, kept2;
+    std::vector<WindowResult> first = run_pass(kShift, 3 * kShift / 2, &kept1);
+    EXPECT_EQ(first, OfflineWindows(kept1, spec));
+    // Second pass on the recycled tables, ended by the flush.
+    const std::vector<WindowResult> second =
+        run_pass(2 * kShift, StreamBatch::kFlushWatermark, &kept2);
+    EXPECT_EQ(second, OfflineWindows(kept2, spec));
+    for (WindowResult& r : first) {
+      r.window_start += kShift;
+      r.window_end += kShift;
+    }
+    EXPECT_EQ(second, first);
+
+    // The inputs did reach the cases under test: tables that grew, and
+    // the extreme keys.
+    std::map<uint64_t, size_t> keys_per_window;
+    for (const WindowResult& r : second) ++keys_per_window[r.window_start];
+    size_t most = 0;
+    for (const auto& [start, keys] : keys_per_window) {
+      most = std::max(most, keys);
+    }
+    EXPECT_GT(most, WindowAggregator::kInitialTableSlots);
+    const auto has_key = [&](uint64_t key) {
+      return std::any_of(second.begin(), second.end(),
+                         [&](const WindowResult& r) { return r.key == key; });
+    };
+    EXPECT_TRUE(has_key(0));
+    EXPECT_TRUE(has_key(kMaxKey));
+  }
 }
 
 workload::YcsbConfig SmallYcsb() {
