@@ -39,10 +39,8 @@
 #include "hwstar/sync/epoch.h"
 #include "hwstar/sync/optlock.h"
 
-// Self-tuning: the knob substrate, the offline calibrator, the online
-// controller.
+// Self-tuning: the knob substrate and the offline calibrator.
 #include "hwstar/tune/calibrator.h"
-#include "hwstar/tune/controller.h"
 #include "hwstar/tune/tunable.h"
 
 // Parallel execution.

@@ -46,10 +46,9 @@ void Pipeline::Run() {
     batch.Clear();
     batch.watermark = 0;
     // A pipeline built with the default batch size re-reads the
-    // tune::StreamBatchRows knob every pump round, so a Calibrator
-    // install or a Controller nudge changes the micro-batch size of a
-    // *running* pipeline: this is the knob the online feedback loop
-    // actuates when emission p99 drifts from its target.
+    // tune::StreamBatchRows knob every pump round, so a knob Set (a
+    // Calibrator install, a config hook) changes the micro-batch size of
+    // a *running* pipeline.
     const uint32_t rows =
         batch_rows_ != 0
             ? batch_rows_

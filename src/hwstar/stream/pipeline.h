@@ -171,8 +171,8 @@ class Pipeline {
   Sink* sink_ = nullptr;
 
   std::string name_;
-  /// 0 = defaulted: Run() re-reads tune::StreamBatchRows each pump round
-  /// (the online Controller's actuator); nonzero = frozen by options.
+  /// 0 = defaulted: Run() re-reads tune::StreamBatchRows each pump round;
+  /// nonzero = frozen by options.
   uint32_t batch_rows_ = 0;
   uint32_t max_inflight_ = 0;
   uint64_t lateness_bound_ = 0;

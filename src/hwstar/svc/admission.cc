@@ -64,10 +64,13 @@ bool GroupSelector::Room() const {
   return size_ == 0 || (Batchable(kind_) && size_ < max_batch_);
 }
 
+bool GroupSelector::Writes() const {
+  return size_ > 0 && kind_ == RequestType::kPut;
+}
+
 bool GroupSelector::Claims(const Ticket& ticket) const {
   const Request& r = ticket.request;
-  return size_ > 0 && kind_ == RequestType::kPut &&
-         BatchKind(r.type) == RequestType::kPut &&
+  return Writes() && BatchKind(r.type) == RequestType::kPut &&
          std::find(write_keys_.begin(), write_keys_.end(), KeyOf(r)) !=
              write_keys_.end();
 }
@@ -155,6 +158,12 @@ bool AdmissionQueue::PopGroup(std::vector<TicketPtr>* out,
                               uint64_t linger_nanos) {
   std::unique_lock<std::mutex> lock(mutex_);
   ++idle_poppers_;
+  if (depth_ <= claimed_ && !closed_ && lingerer_ != nullptr &&
+      !lingerer_->Writes()) {
+    // This popper is about to sleep, and every arrival would wake it: no
+    // mate can reach the lingering read group any more.
+    linger_cv_.notify_one();
+  }
   idle_cv_.wait(lock, [this] { return depth_ > claimed_ || closed_; });
   --idle_poppers_;
   // Closed, and whatever is still queued belongs to the lingering pop.
@@ -162,14 +171,22 @@ bool AdmissionQueue::PopGroup(std::vector<TicketPtr>* out,
   TakeLocked(selector, scan, out);
   // One linger at a time, like a single batching thread: while one popper
   // gathers mates, the others execute what they took at once instead of
-  // each paying a timed sleep for the same arrivals.
+  // each paying a timed sleep for the same arrivals. And only when a mate
+  // can reach this pop: beside an idle popper, only a write group's
+  // claimed tickets can.
   if (linger_nanos > 0 && lingerer_ == nullptr && selector->Room() &&
-      !closed_) {
+      !closed_ && (idle_poppers_ == 0 || selector->Writes())) {
+    lingers_.Inc();
     lingerer_ = selector;
     linger_until_depth_ = scan;
-    linger_cv_.wait_for(lock, std::chrono::nanoseconds(linger_nanos),
-                        [this, scan] { return depth_ >= scan || closed_; });
+    linger_cv_.wait_for(
+        lock, std::chrono::nanoseconds(linger_nanos), [this, selector, scan] {
+          return depth_ >= scan || closed_ ||
+                 (idle_poppers_ > 0 && !selector->Writes());
+        });
+    const size_t taken = out->size();
     TakeLocked(selector, scan, out);
+    linger_mates_.Add(out->size() - taken);
     lingerer_ = nullptr;
     // Claimed tickets left past the scan are anyone's now: wake takers.
     const bool released = claimed_ > 0 && depth_ > 0;
@@ -236,9 +253,13 @@ uint32_t AdmissionQueue::depth() const {
   return depth_;
 }
 
-uint64_t AdmissionQueue::queued_bytes() const {
+OverloadSignals AdmissionQueue::signals() const {
+  OverloadSignals s;
+  s.max_queue_depth = options_.max_queue_depth;
   std::lock_guard<std::mutex> lock(mutex_);
-  return queued_bytes_;
+  s.queue_depth = depth_;
+  s.queued_bytes = queued_bytes_;
+  return s;
 }
 
 uint32_t AdmissionQueue::tenant_depth(uint32_t tenant) const {
@@ -255,6 +276,11 @@ size_t AdmissionQueue::tenant_map_size() const {
 AdmissionStats AdmissionQueue::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
+}
+
+void AdmissionQueue::RegisterMetrics(obs::Registry* registry) const {
+  registry->RegisterCounter("svc.lingers", &lingers_);
+  registry->RegisterCounter("svc.linger_mates", &linger_mates_);
 }
 
 }  // namespace hwstar::svc

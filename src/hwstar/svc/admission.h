@@ -11,6 +11,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "hwstar/obs/metric.h"
+#include "hwstar/obs/registry.h"
+#include "hwstar/svc/overload_policy.h"
 #include "hwstar/svc/request.h"
 
 namespace hwstar::kv {
@@ -98,6 +101,10 @@ class GroupSelector {
   /// True while the group has room for more batch-mates: a pop lingers
   /// only then.
   bool Room() const;
+  /// True if the group holds writes (puts or deletes): its pop lingers even
+  /// beside an idle popper, since only it may take the later writes it
+  /// Claims.
+  bool Writes() const;
   /// True if `ticket` must join this group and no other: a write (put or
   /// delete) to a key the group already writes. While this selector's pop
   /// lingers, other pops leave such tickets queued for it.
@@ -141,15 +148,19 @@ class AdmissionQueue {
   /// Close() was called. The queue offers its first `scan` tickets to
   /// `selector` (which takes the head) and moves out, in pop order, the
   /// ones it takes.
-  /// While the selector has Room, `linger_nanos` > 0 and no other pop is
-  /// lingering, the pop then lingers up to that long — ended early by
-  /// Close() or by `scan` tickets queueing up — and offers the queue once
+  /// The pop then lingers only when a batch-mate can reach it: the
+  /// selector has Room, `linger_nanos` > 0, no other pop is lingering, and
+  /// either no other popper is idle — so arrivals queue for this one — or
+  /// the group Writes, so the later writes it Claims are left to it and a
+  /// write to a key the group holds cannot overtake the group's earlier
+  /// one. A lingering pop waits up to `linger_nanos` — ended early by
+  /// Close(), by `scan` tickets queueing up, or, for a group without
+  /// writes, by another popper going idle — and offers the queue once
   /// more, so per-batch fixed costs amortize over fuller batches. Idle and
   /// lingering poppers wait on separate conditions: an arrival wakes an
-  /// idle popper, never the lingering one, so work that cannot join the
-  /// lingering group is not left waiting out the window. An arrival the
-  /// lingering selector Claims is left to it, so a later write to a key
-  /// the group holds cannot overtake the group's earlier one.
+  /// idle popper, never the lingering one. That is why a read group beside
+  /// an idle popper does not linger: it would sleep out the window for no
+  /// mates.
   /// Returns false once closed and nothing is left for this pop.
   bool PopGroup(std::vector<TicketPtr>* out, GroupSelector* selector,
                 uint32_t scan, uint64_t linger_nanos);
@@ -161,7 +172,9 @@ class AdmissionQueue {
   void NoteExpired(uint64_t n);
 
   uint32_t depth() const;
-  uint64_t queued_bytes() const;
+  /// The queue's half of the overload signals — depth, its bound and the
+  /// queued bytes — read under one lock; `in_flight` is left 0.
+  OverloadSignals signals() const;
   uint32_t tenant_depth(uint32_t tenant) const;
   /// Tenants with queued requests right now. Bounded by depth(): entries
   /// are erased when a tenant's last queued request is popped, so tenant
@@ -169,6 +182,10 @@ class AdmissionQueue {
   size_t tenant_map_size() const;
   AdmissionStats stats() const;
   const AdmissionOptions& options() const { return options_; }
+
+  /// Registers `svc.lingers` (pops that lingered) and `svc.linger_mates`
+  /// (tickets a linger took after its window).
+  void RegisterMetrics(obs::Registry* registry) const;
 
  private:
   AdmissionOptions options_;
@@ -194,6 +211,9 @@ class AdmissionQueue {
   uint64_t queued_bytes_ = 0;
   bool closed_ = false;
   AdmissionStats stats_;
+  /// Bumped under mutex_, so one shard each.
+  obs::Counter lingers_{1};
+  obs::Counter linger_mates_{1};
 };
 
 }  // namespace hwstar::svc

@@ -89,6 +89,7 @@ void Service::RegisterMetrics(obs::Registry* registry) const {
   registry->RegisterCounter("svc.degraded", &degraded_);
   registry->RegisterCounter("svc.batches", &batches_);
   registry->RegisterCounter("svc.batched_requests", &batched_requests_);
+  queue_.RegisterMetrics(registry);
 }
 
 std::future<Response> Service::Submit(Request request) {
@@ -438,10 +439,7 @@ void Service::CompleteShed(TicketPtr ticket, Status status) {
 }
 
 OverloadSignals Service::signals() const {
-  OverloadSignals s;
-  s.queue_depth = queue_.depth();
-  s.max_queue_depth = options_.admission.max_queue_depth;
-  s.queued_bytes = queue_.queued_bytes();
+  OverloadSignals s = queue_.signals();
   s.in_flight = in_flight_.load(kRelaxed);
   return s;
 }

@@ -38,9 +38,11 @@ struct ServiceOptions {
   /// service owns; 0 = hardware concurrency).
   uint32_t worker_threads = 2;
   /// How long a worker that popped a group with room left lingers for
-  /// batch-mates before executing it (one worker at a time; the others
-  /// execute at once). The knob trading a little latency for amortized
-  /// fixed costs.
+  /// batch-mates before executing it. It lingers only when a mate can
+  /// reach it: while no other worker is idle (arrivals queue for it), or
+  /// when the group holds writes (later writes to its keys are left to
+  /// it). One worker lingers at a time; the others execute at once. The
+  /// knob trading a little latency for amortized fixed costs.
   uint64_t batch_window_nanos = 50'000;
   /// How many queued tickets a pop scans for the head's batch-mates
   /// (>= max_batch lets a pop fill a whole batch). A queue this deep also

@@ -33,7 +33,7 @@ namespace hwstar::sync {
 /// either); a thread sweeps its own list when it exceeds the retire
 /// batch, and attempts an epoch advance every `epoch_advance_interval`
 /// retires (both knobs live in the tune registry — tune::EpochRetireBatch
-/// / tune::EpochAdvanceInterval, nudged online by tune::Controller).
+/// / tune::EpochAdvanceInterval).
 /// A thread that exits with unreclaimed retirees flushes them to a
 /// shared orphan list that other threads sweep opportunistically.
 ///

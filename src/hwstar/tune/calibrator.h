@@ -87,9 +87,8 @@ struct CalibrationResult {
 };
 
 /// Micro-benchmarks the batched probe kernels on *this* machine and
-/// installs the winners into the tune registry: the offline half of the
-/// self-tuning loop (the online half is tune::Controller). The paper's
-/// argument is that hand-tuned constants die with the hardware generation
+/// installs the winners into the tune registry. The paper's argument is
+/// that hand-tuned constants die with the hardware generation
 /// they were tuned on; the Calibrator re-derives them at deployment time
 /// by measuring, per structure class:
 ///

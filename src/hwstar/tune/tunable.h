@@ -23,8 +23,8 @@ namespace hwstar::tune {
 /// AMAC footprint gate, micro-batch rows, reclamation cadence, morsel
 /// size) lives behind one of these instead of a one-off global, so it can
 /// be derived from a MachineModel (ApplyMachine), re-measured by the
-/// Calibrator, nudged online by the Controller, and dumped next to
-/// metrics — all through one surface.
+/// Calibrator, set by a deployment config, and dumped next to metrics —
+/// all through one surface.
 ///
 /// Contract: values are *performance hints, never correctness inputs*.
 /// Get() is a single relaxed atomic load (hot paths read knobs every
@@ -65,8 +65,7 @@ class Tunable {
   /// Restores the spec default; returns it.
   uint64_t Reset() { return Set(spec_.default_value); }
 
-  /// One bounded multiplicative step (the Controller's move): doubles /
-  /// halves the current value, saturating at the spec bounds. Returns the
+  /// One bounded multiplicative step: doubles / halves the current value, saturating at the spec bounds. Returns the
   /// installed value.
   uint64_t StepUp();
   uint64_t StepDown();
@@ -81,7 +80,7 @@ class Tunable {
 
 /// The process-wide catalogue of tunables. Components register their
 /// knobs once (create-or-return by name, spec checked for agreement);
-/// the Calibrator, the Controller, ops snapshots and config hooks all
+/// the Calibrator, ops snapshots and config hooks all
 /// address them by name through here. Registration, lookup-by-name and
 /// dumping take a mutex — they are off the hot path; hot paths hold the
 /// Tunable* (or use the inline accessors below) and pay only the relaxed
@@ -131,8 +130,8 @@ class Registry {
 
 /// Core knobs, registered in Registry::Global() on first use. These are
 /// the hardware-consciousness surface and the only spelling of each knob:
-/// hot paths read `X().Get()`; the Calibrator, the Controller, config
-/// hooks and tests write `X().Set()`. Each accessor returns the same
+/// hot paths read `X().Get()`; the Calibrator, config hooks and tests
+/// write `X().Set()`. Each accessor returns the same
 /// Tunable for the life of the process.
 ///
 /// GP group width for the batched probe kernels (linear-probe /

@@ -1009,8 +1009,19 @@ TEST(ServiceTest, IndependentRequestsRunInParallel) {
   EXPECT_LT(max_batch_wait, total_exec / 2);
 }
 
+// The scrape's linger counters: pops that lingered, and tickets lingers
+// took after their windows.
+int64_t Lingers(const Service& service) {
+  return Scraped(service.DumpMetricsText(), "counter svc.lingers ");
+}
+int64_t LingerMates(const Service& service) {
+  return Scraped(service.DumpMetricsText(), "counter svc.linger_mates ");
+}
+
 // An arrival wakes the idle worker, not the one lingering for batch-mates:
 // a scan submitted during another worker's 1 s linger is served at once.
+// The linger is a put's: a write group lingers even beside an idle worker,
+// to keep the later writes to its keys.
 TEST(ServiceTest, ArrivalWakesIdleWorkerWhileAnotherLingers) {
   kv::KvStore store;
   for (uint64_t k = 0; k < 100; ++k) store.Put(k, k);
@@ -1019,8 +1030,8 @@ TEST(ServiceTest, ArrivalWakesIdleWorkerWhileAnotherLingers) {
   opts.batch_window_nanos = 1'000'000'000;
   Service service(opts, &store);
 
-  std::future<Response> get = service.Submit(Request::PointGet(7));
-  // Popped (the queue is empty) and lingering: a lone get has room left.
+  std::future<Response> put = service.Submit(Request::Put(7, 700));
+  // Popped (the queue is empty) and lingering: a lone put has room left.
   while (service.signals().queue_depth != 0) std::this_thread::yield();
 
   const uint64_t start = ServiceNow();
@@ -1029,10 +1040,65 @@ TEST(ServiceTest, ArrivalWakesIdleWorkerWhileAnotherLingers) {
   ASSERT_TRUE(scan.status.ok());
   EXPECT_EQ(scan.rows.size(), 10u);
   EXPECT_LT(scan_nanos, 500'000'000u);
-  // The get's worker was still lingering when the scan finished.
-  EXPECT_EQ(get.wait_for(std::chrono::seconds(0)),
+  // The put's worker was still lingering when the scan finished.
+  EXPECT_EQ(put.wait_for(std::chrono::seconds(0)),
             std::future_status::timeout);
-  EXPECT_EQ(get.get().value, 7u);
+  EXPECT_TRUE(put.get().status.ok());
+  EXPECT_EQ(store.Get(7).value(), 700u);
+  EXPECT_EQ(Lingers(service), 1);  // the put's; a scan never lingers
+  EXPECT_EQ(LingerMates(service), 0);
+}
+
+// A lone get beside an idle worker does not linger: every arrival would
+// wake the idle worker, so the window could bring it no mate. Each get
+// returns well inside a 1 s window.
+TEST(ServiceTest, LoneGetWithIdlePeerDoesNotLinger) {
+  kv::KvStore store;
+  store.Put(7, 70);
+  ServiceOptions opts = NoDegradeOptions();
+  opts.worker_threads = 2;
+  opts.batch_window_nanos = 1'000'000'000;
+  Service service(opts, &store);
+
+  for (int i = 0; i < 4; ++i) {
+    const uint64_t start = ServiceNow();
+    const Response get = service.Call(Request::PointGet(7));
+    EXPECT_LT(ServiceNow() - start, 500'000'000u);
+    EXPECT_EQ(get.value, 70u);
+  }
+  EXPECT_EQ(LingerMates(service), 0);
+}
+
+// While the other worker is busy, a lone get lingers: arrivals queue for
+// it, so a second same-shard get submitted inside the window rides the
+// first get's batch. A queue one ticket deep (dispatch_max 1) ends the
+// linger, so the aggregate need only outlast the second Submit.
+TEST(ServiceTest, GetLingersWhilePeersAreBusy) {
+  storage::ColumnStore cs = MakeColumnStore(1 << 20);
+  kv::KvStore store;
+  store.Put(7, 70);
+  store.Put(8, 80);
+  ServiceOptions opts = NoDegradeOptions();
+  opts.worker_threads = 2;
+  opts.dispatch_max = 1;
+  opts.batch_window_nanos = 1'000'000'000;
+  Service service(opts, &store);
+
+  std::future<Response> agg = service.Submit(LongAggregate(&cs));
+  // One worker holds the aggregate...
+  while (service.signals().in_flight != 1) std::this_thread::yield();
+  const int64_t lingers = Lingers(service);
+  const int64_t mates = LingerMates(service);
+  std::future<Response> first = service.Submit(Request::PointGet(7));
+  // ...so the other pops the get and lingers.
+  while (service.signals().queue_depth != 0) std::this_thread::yield();
+  std::future<Response> second = service.Submit(Request::PointGet(8));
+  EXPECT_EQ(first.get().value, 70u);
+  EXPECT_EQ(second.get().value, 80u);
+  EXPECT_TRUE(agg.get().status.ok());
+  EXPECT_EQ(service.metrics().batches, 2u);  // the aggregate; both gets
+  EXPECT_EQ(Lingers(service) - lingers, 1);
+  EXPECT_EQ(LingerMates(service) - mates, 1);
 }
 
 // A later write to a key the lingering group writes is left to that group,

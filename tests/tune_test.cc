@@ -1,8 +1,8 @@
 // Tests for hwstar::tune: the tunable registry (central clamping, the
 // core knobs' specs, ApplyMachine's derivation), the concurrency contract
 // (relaxed Set/Get from many threads, knob flips under running kernels
-// staying bit-identical), the Calibrator's terminate-and-install-in-
-// bounds guarantee, and the Controller's bounded nudges.
+// staying bit-identical), and the Calibrator's terminate-and-install-in-
+// bounds guarantee.
 
 #include <atomic>
 #include <cstdint>
@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "hwstar/exec/executor.h"
 #include "hwstar/hw/machine_model.h"
 #include "hwstar/hw/topology.h"
 #include "hwstar/kv/kv_store.h"
@@ -21,7 +20,6 @@
 #include "hwstar/simd/backend.h"
 #include "hwstar/svc/service.h"
 #include "hwstar/tune/calibrator.h"
-#include "hwstar/tune/controller.h"
 #include "hwstar/tune/tunable.h"
 
 namespace hwstar::tune {
@@ -419,95 +417,6 @@ TEST_F(TuneTest, CalibratorInstallsSimdBackendInBounds) {
   }
   // The report names the winning backend.
   EXPECT_NE(result.ToString().find("simd"), std::string::npos);
-}
-
-// --- Controller --------------------------------------------------------
-
-TEST_F(TuneTest, ControllerNudgesStreamBatchRows) {
-  Controller ctl(nullptr);
-  uint64_t p99 = 0;
-  uint64_t sheds = 0;
-  ctl.WatchStream([&] { return StreamSignals{p99, sheds}; });
-
-  const uint64_t start = StreamBatchRows().Get();
-  // p99 over target: one StepDown per tick.
-  p99 = ctl.options().emit_p99_target_ns * 2;
-  ctl.TickOnce();
-  EXPECT_EQ(StreamBatchRows().Get(), start / 2);
-  // Deep under target: StepUp.
-  p99 = 1;
-  ctl.TickOnce();
-  EXPECT_EQ(StreamBatchRows().Get(), start);
-  // In the hysteresis band: no move.
-  p99 = ctl.options().emit_p99_target_ns / 2;
-  const uint64_t before_band = StreamBatchRows().Get();
-  ctl.TickOnce();
-  EXPECT_EQ(StreamBatchRows().Get(), before_band);
-  // Sheds win over latency: StepUp even with p99 over target.
-  sheds += 5;
-  p99 = ctl.options().emit_p99_target_ns * 2;
-  ctl.TickOnce();
-  EXPECT_EQ(StreamBatchRows().Get(), before_band * 2);
-  // Same cumulative shed count again = no new sheds: back to StepDown.
-  ctl.TickOnce();
-  EXPECT_EQ(StreamBatchRows().Get(), before_band);
-  EXPECT_EQ(ctl.ticks(), 5u);
-  EXPECT_EQ(ctl.adjustments(), 4u);
-
-  // Bounded: a storm of down-ticks saturates at the spec min, silently.
-  p99 = ctl.options().emit_p99_target_ns * 100;
-  for (int i = 0; i < 40; ++i) ctl.TickOnce();
-  EXPECT_EQ(StreamBatchRows().Get(), StreamBatchRows().spec().min);
-}
-
-TEST_F(TuneTest, ControllerStepsEpochKnobsAndDriftsBack) {
-  Controller ctl(nullptr);
-  uint64_t retired = 0;
-  ctl.WatchEpoch([&] { return EpochSignals{retired}; });
-
-  const uint64_t batch_default = EpochRetireBatch().spec().default_value;
-  const uint64_t interval_default = EpochAdvanceInterval().spec().default_value;
-  // Over budget: both knobs tighten.
-  retired = ctl.options().epoch_bytes_budget + 1;
-  ctl.TickOnce();
-  EXPECT_EQ(EpochRetireBatch().Get(), batch_default / 2);
-  EXPECT_EQ(EpochAdvanceInterval().Get(), interval_default / 2);
-  ctl.TickOnce();
-  EXPECT_EQ(EpochRetireBatch().Get(), batch_default / 4);
-  // Pressure gone: one step per tick back toward the defaults, stopping
-  // exactly there (never past).
-  retired = 0;
-  ctl.TickOnce();
-  EXPECT_EQ(EpochRetireBatch().Get(), batch_default / 2);
-  ctl.TickOnce();
-  ctl.TickOnce();
-  EXPECT_EQ(EpochRetireBatch().Get(), batch_default);
-  EXPECT_EQ(EpochAdvanceInterval().Get(), interval_default);
-  // At equilibrium a tick adjusts nothing.
-  const uint64_t adjustments = ctl.adjustments();
-  ctl.TickOnce();
-  EXPECT_EQ(ctl.adjustments(), adjustments);
-}
-
-TEST_F(TuneTest, ControllerStartStopOnExecutor) {
-  exec::Executor executor(2);
-  ControllerOptions opts;
-  opts.interval_ms = 1;
-  Controller ctl(&executor, opts);
-  std::atomic<uint64_t> reads{0};
-  ctl.WatchStream([&] {
-    reads.fetch_add(1, std::memory_order_relaxed);
-    return StreamSignals{};
-  });
-  ctl.Start();
-  ctl.Start();  // idempotent
-  while (ctl.ticks() < 3) std::this_thread::yield();
-  ctl.Stop();
-  ctl.Stop();  // idempotent
-  const uint64_t ticks = ctl.ticks();
-  EXPECT_GE(ticks, 3u);
-  EXPECT_GE(reads.load(), 3u);
-  executor.Shutdown();
 }
 
 // --- svc surface -------------------------------------------------------
