@@ -313,20 +313,20 @@ void ForEachChild(const Node* n, F&& f) {
   Visit(n, [&f](auto* x) { x->ForEach(f); });
 }
 
-/// A private copy of full node `n` in layout Big, holding only `n`'s
-/// active children. The copy is published by the caller; `n` stays
-/// untouched for in-flight readers.
-template <typename Big>
-Node* GrowInto(const Inner* n) {
-  Big* big = new Big();
-  ForEachChild(n, [big](uint8_t b, Node* c) { big->Add(b, c); });
-  big->prefix_len.store(n->prefix_len.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  for (uint32_t i = 0; i < kMaxPrefix; ++i) {
-    big->prefix[i].store(n->prefix[i].load(std::memory_order_relaxed),
+/// A private copy of inner node `n` in layout T (its own kind or the
+/// next bigger one), holding `n`'s active children and prefix. The copy
+/// is published by the caller; `n` stays untouched for in-flight readers.
+template <typename T>
+Node* CopyInto(const Inner* n) {
+  T* copy = new T();
+  ForEachChild(n, [copy](uint8_t b, Node* c) { copy->Add(b, c); });
+  copy->prefix_len.store(n->prefix_len.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
+  for (uint32_t i = 0; i < kMaxPrefix; ++i) {
+    copy->prefix[i].store(n->prefix[i].load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
   }
-  return big;
+  return copy;
 }
 
 /// Adaptive growth: N4 -> N16 -> N48 -> N256.
@@ -334,15 +334,31 @@ Node* GrowCopy(const Node* n) {
   const Inner* in = static_cast<const Inner*>(n);
   switch (n->kind) {
     case Node::kN4:
-      return GrowInto<N16>(in);
+      return CopyInto<N16>(in);
     case Node::kN16:
-      return GrowInto<N48>(in);
+      return CopyInto<N48>(in);
     case Node::kN48:
-      return GrowInto<N256>(in);
+      return CopyInto<N256>(in);
     default:
       HWSTAR_CHECK(false);
       return nullptr;
   }
+}
+
+/// A private same-kind copy of inner node `n` whose compressed path is
+/// prefix[0, len). A published node's prefix never changes in place: a
+/// reader that loaded the node's pointer before the change and its
+/// version after it would check the new prefix at the old depth and
+/// report a validated miss. The caller publishes the copy and retires `n`.
+Node* CopyWithPrefix(const Node* n, const uint8_t* prefix, uint32_t len) {
+  Inner* copy = static_cast<Inner*>(Visit(n, [](auto* x) {
+    return CopyInto<std::remove_cv_t<std::remove_pointer_t<decltype(x)>>>(x);
+  }));
+  copy->prefix_len.store(static_cast<uint8_t>(len), std::memory_order_relaxed);
+  for (uint32_t i = 0; i < len; ++i) {
+    copy->prefix[i].store(prefix[i], std::memory_order_relaxed);
+  }
+  return copy;
 }
 
 /// The (byte, child) of the only child of a count==1 inner node.
@@ -495,7 +511,8 @@ AdaptiveRadixTree& AdaptiveRadixTree::operator=(
 /// discipline needs the reverse: patch the slot first, then retire). Each
 /// mutation follows one of two shapes:
 ///  - in place: write-lock the node, mutate, write-unlock (version bump
-///    makes interleaved readers restart);
+///    makes interleaved readers restart). Only child sets and leaf values
+///    change in place; a prefix change always goes by replacement;
 ///  - by replacement: build the replacement privately, write-lock the old
 ///    node, publish the replacement into the parent slot with a release
 ///    store, mark the old node obsolete, retire it. Readers that still
@@ -541,12 +558,9 @@ void AdaptiveRadixTree::Insert(uint64_t key, uint64_t value) {
     const uint32_t pl = in->prefix_len.load(std::memory_order_relaxed);
     const uint32_t match = PrefixMatchLen(in, key, depth);
     if (match < pl) {
-      // Path splits inside the prefix: new N4 with the matching part; `n`
-      // keeps the tail of its prefix after the split byte. The prefix
-      // shrink mutates `n` in place, so `n` stays write-locked from the
-      // shrink until the parent slot points at the new inner -- otherwise
-      // a reader could validate the shrunken prefix at the old depth and
-      // descend to the wrong subtree.
+      // Path splits inside the prefix: new N4 with the matching part,
+      // over a copy of `n` that keeps the tail of the prefix after the
+      // split byte (see CopyWithPrefix); `n` itself dies obsolete.
       N4* inner = new N4();
       inner->prefix_len.store(static_cast<uint8_t>(match),
                               std::memory_order_relaxed);
@@ -554,18 +568,18 @@ void AdaptiveRadixTree::Insert(uint64_t key, uint64_t value) {
         inner->prefix[i].store(in->prefix[i].load(std::memory_order_relaxed),
                                std::memory_order_relaxed);
       }
-      inner->Add(in->prefix[match].load(std::memory_order_relaxed), n);
+      uint8_t tail[kMaxPrefix];
+      const uint32_t tail_len = pl - match - 1;
+      for (uint32_t i = 0; i < tail_len; ++i) {
+        tail[i] = in->prefix[match + 1 + i].load(std::memory_order_relaxed);
+      }
+      inner->Add(in->prefix[match].load(std::memory_order_relaxed),
+                 CopyWithPrefix(n, tail, tail_len));
       inner->Add(KeyByte(key, depth + match), new Leaf(key, value));
       n->lock.WriteLock();
-      const uint8_t remaining = static_cast<uint8_t>(pl - match - 1);
-      for (uint32_t i = 0; i < remaining; ++i) {
-        in->prefix[i].store(
-            in->prefix[match + 1 + i].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-      }
-      in->prefix_len.store(remaining, std::memory_order_relaxed);
       slot->store(inner, std::memory_order_release);
-      n->lock.WriteUnlock();
+      n->lock.WriteUnlockObsolete();
+      RetireNode(epoch_, n);
       ++size_;
       return;
     }
@@ -817,17 +831,16 @@ bool AdaptiveRadixTree::Erase(uint64_t key) {
       n->lock.WriteUnlock();
     } else {
       // Path compression in reverse: fold this node's prefix and the edge
-      // byte into the lone surviving child, then splice the child into
-      // this node's slot. A leaf carries its full key, so it absorbs the
-      // collapse with no prefix surgery. The child's prefix mutates in
-      // place, so it is locked from the merge until after the splice is
-      // visible; `n` dies obsolete.
+      // byte into the lone surviving child, then splice it into this
+      // node's slot. A leaf carries its full key, so it absorbs the
+      // collapse with no prefix surgery; an inner child is replaced by a
+      // copy carrying the merged prefix (see CopyWithPrefix). `n` and the
+      // replaced child die obsolete.
       uint8_t edge = 0;
       Node* only = nullptr;
       OnlyChild(n, &edge, &only);
       if (only->kind != Node::kLeaf) {
         Inner* o = static_cast<Inner*>(only);
-        only->lock.WriteLock();
         const uint32_t n_pl = in->prefix_len.load(std::memory_order_relaxed);
         const uint32_t o_pl = o->prefix_len.load(std::memory_order_relaxed);
         HWSTAR_CHECK(n_pl + 1 + o_pl <= kMaxPrefix);
@@ -839,15 +852,12 @@ bool AdaptiveRadixTree::Erase(uint64_t key) {
         for (uint32_t i = 0; i < o_pl; ++i) {
           merged[n_pl + 1 + i] = o->prefix[i].load(std::memory_order_relaxed);
         }
-        const uint32_t merged_len = n_pl + 1 + o_pl;
-        for (uint32_t i = 0; i < merged_len; ++i) {
-          o->prefix[i].store(merged[i], std::memory_order_relaxed);
-        }
-        o->prefix_len.store(static_cast<uint8_t>(merged_len),
-                            std::memory_order_relaxed);
-        nslot->store(only, std::memory_order_release);
+        Node* merged_node = CopyWithPrefix(only, merged, n_pl + 1 + o_pl);
+        only->lock.WriteLock();
+        nslot->store(merged_node, std::memory_order_release);
         n->lock.WriteUnlockObsolete();
-        only->lock.WriteUnlock();
+        only->lock.WriteUnlockObsolete();
+        RetireNode(epoch_, only);
       } else {
         nslot->store(only, std::memory_order_release);
         n->lock.WriteUnlockObsolete();

@@ -105,11 +105,12 @@ class AdaptiveRadixTree {
   /// (allocator overhead excluded).
   uint64_t MemoryBytes() const;
 
-  /// Attaches an epoch-based reclamation domain: nodes unlinked by Insert
-  /// growth or Erase are retired to `epoch` instead of freed immediately,
-  /// which makes Find/FindBatch safe to run concurrently with the (single)
-  /// writer. Null restores immediate frees (single-threaded mode). Must
-  /// not be changed while operations are in flight.
+  /// Attaches an epoch-based reclamation domain: nodes replaced by Insert
+  /// (growth, prefix splits) or unlinked by Erase are retired to `epoch`
+  /// instead of freed immediately, which makes Find/FindBatch safe to run
+  /// concurrently with the (single) writer. Null restores immediate frees
+  /// (single-threaded mode). Must not be changed while operations are in
+  /// flight.
   void SetEpochManager(sync::EpochManager* epoch) { epoch_ = epoch; }
   sync::EpochManager* epoch_manager() const { return epoch_; }
 

@@ -12,36 +12,28 @@ LinearProbeTable::LinearProbeTable(uint64_t expected, double load_factor) {
   uint64_t min_cap = static_cast<uint64_t>(
       static_cast<double>(expected < 1 ? 1 : expected) / load_factor);
   uint64_t cap = bits::NextPowerOfTwo(min_cap < 8 ? 8 : min_cap);
-  keys_ = MakeSlotArray(cap, kEmpty);
-  values_ = MakeSlotArray(cap, 0);
+  auto* slots = static_cast<Slot*>(mem::HugePageAlloc(cap * sizeof(Slot)));
+  HWSTAR_CHECK(slots != nullptr);
+  // Each slot is constructed once, already empty. std::atomic is
+  // trivially destructible, so AlignedFree alone releases the array.
+  for (uint64_t i = 0; i < cap; ++i) new (&slots[i]) Slot{{kEmpty}, {0}};
+  slots_.reset(slots);
   mask_ = cap - 1;
   shift_ = 64 - bits::Log2Floor(cap);
-}
-
-LinearProbeTable::SlotArray LinearProbeTable::MakeSlotArray(uint64_t n,
-                                                            uint64_t init) {
-  void* raw = mem::HugePageAlloc(n * sizeof(std::atomic<uint64_t>));
-  HWSTAR_CHECK(raw != nullptr);
-  auto* slots = static_cast<std::atomic<uint64_t>*>(raw);
-  // Each slot is constructed once, already holding its initial value.
-  // std::atomic is trivially destructible, so AlignedFree alone releases
-  // the array.
-  for (uint64_t i = 0; i < n; ++i) new (&slots[i]) std::atomic<uint64_t>(init);
-  return SlotArray(slots);
 }
 
 void LinearProbeTable::Insert(uint64_t key, uint64_t value) {
   HWSTAR_DCHECK(key != kEmpty);
   HWSTAR_CHECK(size_ < capacity());  // table never fills completely
   uint64_t slot = HomeSlot(key);
-  while (keys_[slot].load(std::memory_order_relaxed) != kEmpty) {
+  while (slots_[slot].key.load(std::memory_order_relaxed) != kEmpty) {
     slot = (slot + 1) & mask_;
   }
   // Value first, then the key with release: a reader that sees the key
   // (acquire) sees the value. Until the key lands the slot reads kEmpty
   // and the entry is simply not there yet.
-  values_[slot].store(value, std::memory_order_relaxed);
-  keys_[slot].store(key, std::memory_order_release);
+  slots_[slot].value.store(value, std::memory_order_relaxed);
+  slots_[slot].key.store(key, std::memory_order_release);
   ++size_;
 }
 
@@ -49,7 +41,7 @@ bool LinearProbeTable::Find(uint64_t key, uint64_t* out) const {
   uint64_t value = 0;
   const uint32_t matches =
       WalkChainFrom(key, HomeSlot(key), [&](uint64_t slot) {
-        value = values_[slot].load(std::memory_order_relaxed);
+        value = slots_[slot].value.load(std::memory_order_relaxed);
         return false;  // first match only
       });
   if (matches == 0) return false;
@@ -64,26 +56,26 @@ size_t LinearProbeTable::FindBatch(const uint64_t* keys, size_t n,
   WithProbeGroup(group_size, [&](auto g) {
     constexpr uint32_t G = decltype(g)::value;
     const simd::Backend be = simd::ActiveBackend();
-    uint64_t slots[G];
+    uint64_t home[G];
     // Explicit group loop: the hash phase is one data-parallel
-    // Mix64Batch sweep per group, then G prefetches go out together,
-    // then the probe phase walks chains against lines already in
-    // flight. The ragged tail (and any batch under one group) takes
-    // the scalar path with no staging overhead.
+    // Mix64Batch sweep per group, then G prefetches (one per key: the
+    // home slot's line holds key and value) go out together, then the
+    // probe phase walks chains against lines already in flight. The
+    // ragged tail (and any batch under one group) takes the scalar path
+    // with no staging overhead.
     size_t i = 0;
     for (; i + G <= n; i += G) {
-      simd::Mix64Batch(be, keys + i, G, slots);
+      simd::Mix64Batch(be, keys + i, G, home);
       for (uint32_t lane = 0; lane < G; ++lane) {
-        slots[lane] >>= shift_;
-        HWSTAR_PREFETCH(&keys_[slots[lane]]);
-        HWSTAR_PREFETCH(&values_[slots[lane]]);
+        home[lane] >>= shift_;
+        HWSTAR_PREFETCH(&slots_[home[lane]]);
       }
       for (uint32_t lane = 0; lane < G; ++lane) {
         const size_t idx = i + lane;
         uint64_t value = 0;
         const bool hit =
-            WalkChainFrom(keys[idx], slots[lane], [&](uint64_t slot) {
-              value = values_[slot].load(std::memory_order_relaxed);
+            WalkChainFrom(keys[idx], home[lane], [&](uint64_t slot) {
+              value = slots_[slot].value.load(std::memory_order_relaxed);
               return false;
             }) != 0;
         values[idx] = value;
@@ -108,7 +100,7 @@ uint64_t LinearProbeTable::CountMatchesBatch(const uint64_t* keys, uint64_t n,
   for (uint64_t i = 0; i < n; ++i) {
     if (prefetch_distance != 0 && i + prefetch_distance < n) {
       const uint64_t ahead = HomeSlot(keys[i + prefetch_distance]);
-      HWSTAR_PREFETCH(&keys_[ahead]);
+      HWSTAR_PREFETCH(&slots_[ahead]);
     }
     matches += CountMatches(keys[i]);
   }
@@ -121,7 +113,7 @@ double LinearProbeTable::MeasureAvgProbeLength(
   uint64_t steps = 0;
   for (uint64_t key : sample) {
     uint64_t slot = HomeSlot(key);
-    while (keys_[slot].load(std::memory_order_acquire) != kEmpty) {
+    while (slots_[slot].key.load(std::memory_order_acquire) != kEmpty) {
       ++steps;
       slot = (slot + 1) & mask_;
     }

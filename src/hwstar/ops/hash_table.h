@@ -20,15 +20,17 @@ class EpochManager;
 
 namespace hwstar::ops {
 
-/// Open-addressing hash table with linear probing over two parallel
-/// power-of-two arrays, `keys_` and `values_` (8 bytes each per slot).
-/// Duplicate keys are supported (each insert takes a slot); lookups visit
-/// the whole chain. The layout choice -- flat arrays, no pointers -- is
-/// the hardware-conscious one: a probe scans consecutive key lines instead
-/// of chasing a chain across the heap, and a hit reads one more line, in
-/// `values_`. Arrays of mem::kHugePageBytes or more sit on transparent
-/// huge pages (mem::HugePageAlloc), so a probe into a table far above the
-/// last-level cache misses the TLB far less often.
+/// Open-addressing hash table with linear probing over one power-of-two
+/// array of 16-byte (key, value) slots. Duplicate keys are supported (each
+/// insert takes a slot); lookups visit the whole chain. The layout choice
+/// -- one flat array, no pointers, key and value side by side -- is the
+/// hardware-conscious one: a probe scans consecutive slots, four to a
+/// 64-byte line, instead of chasing a chain across the heap, and a hit
+/// reads its value from the line that held its key. The array is
+/// line-aligned, so no slot straddles two lines. Arrays of
+/// mem::kHugePageBytes or more sit on transparent huge pages
+/// (mem::HugePageAlloc), so a probe into a table far above the last-level
+/// cache misses the TLB far less often.
 ///
 /// Concurrency contract (atomic publication): a single writer may Insert
 /// concurrently with any number of readers. Insert stores the value, then
@@ -57,7 +59,7 @@ class LinearProbeTable {
   template <typename Fn>
   uint32_t Probe(uint64_t key, Fn&& fn) const {
     return WalkChainFrom(key, HomeSlot(key), [&](uint64_t slot) {
-      fn(values_[slot].load(std::memory_order_relaxed));
+      fn(slots_[slot].value.load(std::memory_order_relaxed));
       return true;
     });
   }
@@ -111,23 +113,22 @@ class LinearProbeTable {
     WithProbeGroup(group_size, [&](auto g) {
       constexpr uint32_t G = decltype(g)::value;
       const simd::Backend be = simd::ActiveBackend();
-      uint64_t slots[G];
+      uint64_t home[G];
       // Explicit group loop: the whole group's hash phase is one
-      // data-parallel Mix64Batch sweep, then G prefetches issue, then
-      // the probe phase walks each chain against lines already in
-      // flight (and skips non-matching runs with vector compares).
+      // data-parallel Mix64Batch sweep, then G prefetches issue (one per
+      // key: its home slot's line holds key and value), then the probe
+      // phase walks each chain against lines already in flight.
       size_t i = 0;
       for (; i + G <= n; i += G) {
-        simd::Mix64Batch(be, keys + i, G, slots);
+        simd::Mix64Batch(be, keys + i, G, home);
         for (uint32_t lane = 0; lane < G; ++lane) {
-          slots[lane] >>= shift_;
-          HWSTAR_PREFETCH(&keys_[slots[lane]]);
-          HWSTAR_PREFETCH(&values_[slots[lane]]);
+          home[lane] >>= shift_;
+          HWSTAR_PREFETCH(&slots_[home[lane]]);
         }
         for (uint32_t lane = 0; lane < G; ++lane) {
           const size_t idx = i + lane;
-          matches += WalkChainFrom(keys[idx], slots[lane], [&](uint64_t s) {
-            fn(idx, values_[s].load(std::memory_order_relaxed));
+          matches += WalkChainFrom(keys[idx], home[lane], [&](uint64_t s) {
+            fn(idx, slots_[s].value.load(std::memory_order_relaxed));
             return true;
           });
         }
@@ -141,9 +142,7 @@ class LinearProbeTable {
 
   uint64_t capacity() const { return mask_ + 1; }
   uint64_t size() const { return size_; }
-  uint64_t MemoryBytes() const {
-    return capacity() * (sizeof(uint64_t) * 2);
-  }
+  uint64_t MemoryBytes() const { return capacity() * sizeof(Slot); }
 
  private:
   /// Home slot of a key: the HIGH bits of the hash. The radix join
@@ -152,76 +151,36 @@ class LinearProbeTable {
   /// keys of one partition would pile into a handful of slots.
   uint64_t HomeSlot(uint64_t key) const { return Mix64(key) >> shift_; }
 
+  /// One entry: the key publishes the value beside it (see the class
+  /// contract). 16 bytes, so four slots share a 64-byte line.
+  struct Slot {
+    std::atomic<uint64_t> key;
+    std::atomic<uint64_t> value;
+  };
+  static_assert(sizeof(Slot) == 16);
+  static_assert(mem::kCacheLineBytes % sizeof(Slot) == 0);
+
   /// Walks the probe chain of `key` from `slot`, calling visit(slot) on
   /// every match until visit returns false or the chain's terminating
-  /// empty slot is reached; returns the match count.
-  ///
-  /// On a vector backend, simd::FindKeyOrEmpty skips runs of
-  /// non-interesting slots with plain (unsynchronized) vector loads.
-  /// That is safe as an *accelerator hint*: a slot it skips was observed
-  /// non-empty and non-matching, and published keys are immutable (the
-  /// only write a slot ever sees is its one kEmpty -> key release store,
-  /// 64-bit aligned, so a plain load observes one of the two values) --
-  /// a skipped slot therefore can never have matched. Every slot the
-  /// hint *nominates* is re-read through the acquire protocol, which
-  /// stays the sole authority for termination, matches, and the
-  /// key->value ordering. A racing publication can make the hint stop
-  /// early on a slot acquire then disagrees about; the loop steps one
-  /// slot scalar and re-engages the vector scan. The kernel never scans
-  /// past the array edge (span = capacity - slot), so a wrapping chain
-  /// re-enters at slot 0 -- no out-of-bounds vector load. The scalar
-  /// backend (always selected under TSan, where plain loads of the
-  /// atomics would be miscounted as races) is the original acquire-load
-  /// loop, untouched.
+  /// empty slot is reached; returns the match count. Every key is read
+  /// with acquire, so a matched slot's value is the one its insert
+  /// published.
   template <typename Visit>
   HWSTAR_ALWAYS_INLINE uint32_t WalkChainFrom(uint64_t key, uint64_t slot,
                                               Visit&& visit) const {
     uint32_t matches = 0;
-    const simd::Backend be = simd::ActiveBackend();
-    if (be == simd::Backend::kScalar) {
-      for (;;) {
-        const uint64_t k = keys_[slot].load(std::memory_order_acquire);
-        if (k == kEmpty) return matches;
-        if (k == key) {
-          ++matches;
-          if (!visit(slot)) return matches;
-        }
-        slot = (slot + 1) & mask_;
-      }
-    }
-    static_assert(sizeof(std::atomic<uint64_t>) == sizeof(uint64_t));
-    const uint64_t* raw = reinterpret_cast<const uint64_t*>(keys_.get());
-    const uint64_t cap = mask_ + 1;
     for (;;) {
-      const size_t span = static_cast<size_t>(cap - slot);
-      const size_t idx = simd::FindKeyOrEmpty(be, raw + slot, span, key,
-                                              kEmpty);
-      if (idx == span) {  // hit the array edge without a candidate: wrap
-        slot = 0;
-        continue;
-      }
-      slot += idx;
-      const uint64_t k = keys_[slot].load(std::memory_order_acquire);
+      const uint64_t k = slots_[slot].key.load(std::memory_order_acquire);
       if (k == kEmpty) return matches;
       if (k == key) {
         ++matches;
         if (!visit(slot)) return matches;
       }
-      // Match, or a racing insert made the hint stop where acquire
-      // disagrees: either way, resume the vector scan one slot on.
       slot = (slot + 1) & mask_;
     }
   }
 
-  using SlotArray =
-      std::unique_ptr<std::atomic<uint64_t>[], mem::AlignedDeleter>;
-
-  /// `n` atomics from mem::HugePageAlloc, each constructed once holding
-  /// `init`.
-  static SlotArray MakeSlotArray(uint64_t n, uint64_t init);
-
-  SlotArray keys_;
-  SlotArray values_;
+  std::unique_ptr<Slot[], mem::AlignedDeleter> slots_;
   uint64_t mask_;
   uint32_t shift_;
   uint64_t size_ = 0;

@@ -24,9 +24,9 @@ const char* BackendName(Backend b);
 /// The most capable backend this *build + host* can execute: runtime
 /// cpuid capped by what was compiled in. Detected once; never changes.
 /// Under HWSTAR_DISABLE_SIMD (the forced-portable CI leg), on non-x86
-/// targets, and under ThreadSanitizer this is kScalar — TSan cannot see
-/// through vector loads of atomic slot arrays, so sanitizer builds keep
-/// the fully-instrumented scalar paths.
+/// targets, and under ThreadSanitizer this is kScalar — TSan does not
+/// instrument the vector bodies' loads, so sanitizer builds keep the
+/// fully-instrumented scalar paths.
 Backend BestSupported();
 
 /// The backend the kernels should use right now: the tune::SimdBackend

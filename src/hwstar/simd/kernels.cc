@@ -75,14 +75,6 @@ bool TestBlock512Scalar(const uint64_t* block, const uint64_t* mask) {
   return true;
 }
 
-size_t FindKeyOrEmptyScalar(const uint64_t* slots, size_t n, uint64_t key,
-                            uint64_t empty) {
-  for (size_t i = 0; i < n; ++i) {
-    if (slots[i] == key || slots[i] == empty) return i;
-  }
-  return n;
-}
-
 #if defined(HWSTAR_SIMD_X86)
 
 // --- AVX2 bodies: 4 x 64-bit lanes -----------------------------------------
@@ -244,26 +236,6 @@ HWSTAR_TARGET_AVX2 bool TestBlock512Avx2(const uint64_t* block,
   return (_mm256_testc_si256(b0, m0) & _mm256_testc_si256(b1, m1)) != 0;
 }
 
-HWSTAR_TARGET_AVX2 size_t FindKeyOrEmptyAvx2(const uint64_t* slots, size_t n,
-                                             uint64_t key, uint64_t empty) {
-  const __m256i vkey = _mm256_set1_epi64x(static_cast<int64_t>(key));
-  const __m256i vempty = _mm256_set1_epi64x(static_cast<int64_t>(empty));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slots + i));
-    const __m256i hit = _mm256_or_si256(_mm256_cmpeq_epi64(x, vkey),
-                                        _mm256_cmpeq_epi64(x, vempty));
-    const uint32_t m = static_cast<uint32_t>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(hit)));
-    if (m != 0) return i + static_cast<uint32_t>(__builtin_ctz(m));
-  }
-  for (; i < n; ++i) {
-    if (slots[i] == key || slots[i] == empty) return i;
-  }
-  return n;
-}
-
 // --- SSE4.2 bodies: 2 x 64-bit lanes ---------------------------------------
 
 HWSTAR_TARGET_SSE42 inline __m128i MulLo64Sse(__m128i a, __m128i b) {
@@ -411,26 +383,6 @@ HWSTAR_TARGET_SSE42 bool TestBlock512Sse(const uint64_t* block,
   return ok != 0;
 }
 
-HWSTAR_TARGET_SSE42 size_t FindKeyOrEmptySse(const uint64_t* slots, size_t n,
-                                             uint64_t key, uint64_t empty) {
-  const __m128i vkey = _mm_set1_epi64x(static_cast<int64_t>(key));
-  const __m128i vempty = _mm_set1_epi64x(static_cast<int64_t>(empty));
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(slots + i));
-    const __m128i hit = _mm_or_si128(_mm_cmpeq_epi64(x, vkey),
-                                     _mm_cmpeq_epi64(x, vempty));
-    const uint32_t m =
-        static_cast<uint32_t>(_mm_movemask_pd(_mm_castsi128_pd(hit)));
-    if (m != 0) return i + static_cast<uint32_t>(__builtin_ctz(m));
-  }
-  for (; i < n; ++i) {
-    if (slots[i] == key || slots[i] == empty) return i;
-  }
-  return n;
-}
-
 #endif  // HWSTAR_SIMD_X86
 
 }  // namespace
@@ -506,17 +458,6 @@ bool TestBlock512(Backend b, const uint64_t* block, const uint64_t* mask) {
   (void)b;
 #endif
   return TestBlock512Scalar(block, mask);
-}
-
-size_t FindKeyOrEmpty(Backend b, const uint64_t* slots, size_t n,
-                      uint64_t key, uint64_t empty) {
-#if defined(HWSTAR_SIMD_X86)
-  if (b == Backend::kAvx2) return FindKeyOrEmptyAvx2(slots, n, key, empty);
-  if (b == Backend::kSse42) return FindKeyOrEmptySse(slots, n, key, empty);
-#else
-  (void)b;
-#endif
-  return FindKeyOrEmptyScalar(slots, n, key, empty);
 }
 
 }  // namespace hwstar::simd

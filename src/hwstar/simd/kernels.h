@@ -71,24 +71,6 @@ int64_t Max(Backend b, const int64_t* values, size_t n);
 /// line's single miss.
 bool TestBlock512(Backend b, const uint64_t* block, const uint64_t* mask);
 
-// --- Hash-table slot scan --------------------------------------------------
-
-/// Index of the first slot in slots[0, n) equal to `key` or to `empty`
-/// (n if none): the linear-probe inner loop's "next interesting slot".
-/// Vector compares scan 4 (AVX2) / 2 (SSE4.2) slots per step; the ragged
-/// tail is scalar.
-///
-/// Concurrency contract: the loads here are *plain* (not atomic). The
-/// caller (LinearProbeTable) treats the answer as an accelerator hint and
-/// re-reads the nominated slot through its acquire-load protocol before
-/// acting — a slot this scan skips was seen non-empty and non-matching,
-/// and published keys are immutable, so skipping is always safe; any slot
-/// it stops on is re-validated. Under TSan, BestSupported() is kScalar and
-/// callers never reach this with a vector backend, keeping the
-/// instrumented scalar path authoritative for the race checker.
-size_t FindKeyOrEmpty(Backend b, const uint64_t* slots, size_t n,
-                      uint64_t key, uint64_t empty);
-
 }  // namespace hwstar::simd
 
 #endif  // HWSTAR_SIMD_KERNELS_H_

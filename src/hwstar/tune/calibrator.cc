@@ -251,7 +251,7 @@ CalibrationResult Calibrator::RunOnce() {
   // DRAM equally, so the scalar<->vector crossover only shows where the
   // data is close. Two structure classes -- the selection scan (pure
   // data-parallel compare) and the linear-probe FindBatch (batched
-  // hashing + vector slot scan). The knob is forced around each timed
+  // hashing). The knob is forced around each timed
   // region; the winner installs through the tunable's clamp below, so a
   // measurement artifact can never publish an unsupported backend.
   {

@@ -42,13 +42,6 @@ uint64_t Tunable::Set(uint64_t v) {
   return v;
 }
 
-uint64_t Tunable::StepUp() {
-  const uint64_t cur = Get();
-  return Set(cur >= (uint64_t{1} << 63) ? spec_.max : cur * 2);
-}
-
-uint64_t Tunable::StepDown() { return Set(Get() / 2); }
-
 Registry& Registry::Global() {
   // Leaked intentionally (see header): worker threads read knobs during
   // static destruction.

@@ -65,11 +65,6 @@ class Tunable {
   /// Restores the spec default; returns it.
   uint64_t Reset() { return Set(spec_.default_value); }
 
-  /// One bounded multiplicative step: doubles / halves the current value, saturating at the spec bounds. Returns the
-  /// installed value.
-  uint64_t StepUp();
-  uint64_t StepDown();
-
   const TunableSpec& spec() const { return spec_; }
   const std::string& name() const { return spec_.name; }
 

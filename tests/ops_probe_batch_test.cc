@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "hwstar/common/hash.h"
 #include "hwstar/common/random.h"
 #include "hwstar/kv/kv_store.h"
 #include "hwstar/mem/aligned.h"
@@ -22,6 +24,7 @@
 #include "hwstar/ops/concurrent_hash_table.h"
 #include "hwstar/ops/hash_table.h"
 #include "hwstar/ops/probe_kernels.h"
+#include "hwstar/simd/backend.h"
 #include "hwstar/tune/tunable.h"
 
 namespace hwstar::ops {
@@ -233,6 +236,96 @@ TEST(ProbeBatchTest, LinearProbeBatchMatchesScalarProbeInOrder) {
       EXPECT_EQ(got, want) << "keys=" << count << " group=" << group;
     }
   }
+}
+
+TEST(ProbeBatchTest, LinearProbeChainsWrapPastTheLastSlot) {
+  // A chain that runs past the last slot continues at slot 0. Keys are
+  // picked by home slot so chains start in the last two slots and wrap
+  // onto keys homed at slot 0; every probe path must report exactly the
+  // reference multimap's matches, in insertion order, on every backend
+  // the simd.backend knob allows.
+  LinearProbeTable table(8);
+  const uint64_t cap = table.capacity();
+  ASSERT_EQ(cap, 16u);
+  auto home = [](uint64_t key) { return Mix64(key) >> 60; };  // 16 slots
+  auto key_homed_at = [&](uint64_t slot, uint64_t after) {
+    uint64_t k = after + 1;
+    while (home(k) != slot) ++k;
+    return k;
+  };
+  const uint64_t a = key_homed_at(cap - 1, 0);
+  const uint64_t d = key_homed_at(cap - 1, a);
+  const uint64_t b = key_homed_at(cap - 2, 0);
+  const uint64_t c = key_homed_at(0, 0);
+  // Slots 14..15 then 0..4 fill: b a | a c a d c; slot 5 ends every chain.
+  const std::pair<uint64_t, uint64_t> inserts[] = {
+      {b, 1}, {a, 2}, {a, 3}, {c, 4}, {a, 5}, {d, 6}, {c, 7}};
+  std::multimap<uint64_t, uint64_t> ref;
+  for (const auto& [k, v] : inserts) {
+    table.Insert(k, v);
+    ref.emplace(k, v);  // equal keys keep insertion order
+  }
+  // Probes: every resident key and misses homed where the chains wrap.
+  std::vector<uint64_t> probes;
+  const uint64_t misses[] = {key_homed_at(cap - 1, d), key_homed_at(cap - 2, b),
+                             key_homed_at(0, c)};
+  for (int round = 0; round < 6; ++round) {
+    for (uint64_t k : {a, b, c, d}) probes.push_back(k);
+    for (uint64_t k : misses) probes.push_back(k);
+  }
+  std::vector<std::pair<size_t, uint64_t>> want;
+  uint64_t want_matches = 0;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const auto [lo, hi] = ref.equal_range(probes[i]);
+    for (auto it = lo; it != hi; ++it) want.emplace_back(i, it->second);
+    want_matches += ref.count(probes[i]);
+  }
+
+  const uint64_t saved_backend = tune::SimdBackend().Get();
+  for (uint64_t be = 0;
+       be <= static_cast<uint64_t>(simd::BestSupported()); ++be) {
+    tune::SimdBackend().Set(be);
+    SCOPED_TRACE(simd::BackendName(simd::ActiveBackend()));
+    std::vector<std::pair<size_t, uint64_t>> got;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const uint32_t n = table.Probe(
+          probes[i], [&](uint64_t v) { got.emplace_back(i, v); });
+      EXPECT_EQ(n, ref.count(probes[i])) << "i=" << i;
+      EXPECT_EQ(table.CountMatches(probes[i]), ref.count(probes[i]));
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(table.CountMatchesBatch(probes.data(), probes.size()),
+              want_matches);
+    for (uint32_t group : kGroupSizes) {
+      got.clear();
+      EXPECT_EQ(table.ProbeBatch(
+                    probes.data(), probes.size(),
+                    [&](size_t i, uint64_t v) { got.emplace_back(i, v); },
+                    group),
+                want_matches)
+          << "group=" << group;
+      EXPECT_EQ(got, want) << "group=" << group;
+
+      std::vector<uint64_t> values(probes.size(), ~uint64_t{0});
+      std::unique_ptr<bool[]> found(new bool[probes.size()]);
+      size_t want_hits = 0;
+      table.FindBatch(probes.data(), probes.size(), values.data(),
+                      found.get(), group);
+      for (size_t i = 0; i < probes.size(); ++i) {
+        const auto it = ref.find(probes[i]);
+        const bool hit = it != ref.end();
+        want_hits += hit;
+        EXPECT_EQ(found[i], hit) << "group=" << group << " i=" << i;
+        EXPECT_EQ(values[i], hit ? it->second : 0)
+            << "group=" << group << " i=" << i;
+      }
+      EXPECT_EQ(table.FindBatch(probes.data(), probes.size(), values.data(),
+                                nullptr, group),
+                want_hits)
+          << "group=" << group;
+    }
+  }
+  tune::SimdBackend().Set(saved_backend);
 }
 
 TEST(ProbeBatchTest, ChainedProbeBatchMatchesScalarProbeAsMultiset) {

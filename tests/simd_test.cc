@@ -230,52 +230,6 @@ TEST(SimdKernelsTest, TestBlock512Corners) {
   }
 }
 
-TEST(SimdKernelsTest, FindKeyOrEmptyMatchesScalarScan) {
-  Xoshiro256 rng(83);
-  const uint64_t kKey = 0x1234567890abcdefULL;
-  const uint64_t kEmpty = 0;
-  for (size_t n : kLengths) {
-    for (int trial = 0; trial < 8; ++trial) {
-      std::vector<uint64_t> slots(n);
-      // Mostly non-interesting slots with occasional keys/empties, so
-      // "first hit" lands at varied offsets (including none).
-      for (auto& s : slots) {
-        const uint64_t roll = rng.NextBounded(10);
-        s = roll == 0 ? kKey : roll == 1 ? kEmpty : (rng.Next() | 1);
-      }
-      size_t expect = n;
-      for (size_t i = 0; i < n; ++i) {
-        if (slots[i] == kKey || slots[i] == kEmpty) {
-          expect = i;
-          break;
-        }
-      }
-      for (Backend b : SupportedBackends()) {
-        EXPECT_EQ(FindKeyOrEmpty(b, slots.data(), n, kKey, kEmpty), expect)
-            << BackendName(b) << " n=" << n << " trial=" << trial;
-      }
-    }
-  }
-}
-
-TEST(SimdKernelsTest, FindKeyOrEmptyFirstHitWinsWithinOneVector) {
-  // A key and an empty inside the same 4-lane step: the earlier index
-  // must win regardless of which predicate matched it.
-  const uint64_t kKey = 7;
-  const uint64_t kEmpty = 0;
-  std::vector<uint64_t> slots = {5, kEmpty, kKey, 5, 5, 5, 5, 5};
-  for (Backend b : SupportedBackends()) {
-    EXPECT_EQ(FindKeyOrEmpty(b, slots.data(), slots.size(), kKey, kEmpty), 1u)
-        << BackendName(b);
-  }
-  slots[1] = kKey;
-  slots[2] = kEmpty;
-  for (Backend b : SupportedBackends()) {
-    EXPECT_EQ(FindKeyOrEmpty(b, slots.data(), slots.size(), kKey, kEmpty), 1u)
-        << BackendName(b);
-  }
-}
-
 TEST(SimdKernelsTest, ForcedKnobChangesNothingObservable) {
   // The whole point of the bit-identity contract: flipping the knob
   // between batches is invisible in results. Run the convenience wrapper

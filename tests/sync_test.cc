@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -371,6 +372,70 @@ TEST(ArtConcurrencyTest, FindBatchRacesWriterWithoutTearing) {
   for (auto& r : readers) r.join();
   stop.store(true);
   writer.join();
+  mgr.ReclaimAll();
+  EXPECT_EQ(mgr.stats().retired_outstanding, 0u);
+}
+
+// A prefix split (Insert) and a collapse (Erase) change which depth a
+// node's compressed path starts at. A reader that loads a node's pointer
+// before such a change and its version after it must not check the new
+// prefix at the old depth: that reads as a validated miss of a key that
+// never left the tree. The writer splits and re-merges the root's
+// 7-byte prefix over and over while readers look up the resident keys.
+TEST(ArtConcurrencyTest, PrefixChangesNeverHideAKey) {
+  EpochManager mgr;
+  ops::AdaptiveRadixTree art;
+  art.SetEpochManager(&mgr);
+  constexpr uint64_t kBase = 0x1122334455667700ULL;
+  constexpr uint64_t kResident[] = {kBase, kBase | 1, kBase | 2, kBase | 3};
+  for (uint64_t key : kResident) art.Insert(key, StressValue(key));
+  // Diverges from the residents at byte 1: inserting it splits the root
+  // prefix after byte 0, erasing it merges the prefix back.
+  constexpr uint64_t kSplitter = 0x11ff000000000000ULL;
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> misses{0};
+  std::thread writer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      art.Insert(kSplitter, StressValue(kSplitter));
+      art.Erase(kSplitter);
+    }
+  });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      constexpr size_t kBatch = 16;
+      uint64_t batch[kBatch];
+      uint64_t values[kBatch];
+      bool found[kBatch];
+      for (size_t j = 0; j < kBatch; ++j) batch[j] = kResident[j % 4];
+      while (misses.load(std::memory_order_relaxed) == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        for (int iter = 0; iter < 256; ++iter) {
+          EpochManager::Guard guard(mgr);
+          for (uint64_t key : kResident) {
+            uint64_t v = 0;
+            if (!art.Find(key, &v) || v != StressValue(key)) {
+              misses.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          art.FindBatch(batch, kBatch, values, found);
+          for (size_t j = 0; j < kBatch; ++j) {
+            if (!found[j] || values[j] != StressValue(batch[j])) {
+              misses.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(misses.load(), 0u);
   mgr.ReclaimAll();
   EXPECT_EQ(mgr.stats().retired_outstanding, 0u);
 }

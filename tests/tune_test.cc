@@ -53,16 +53,6 @@ TEST_F(TuneTest, SetRoundsUpToPowerOfTwo) {
   EXPECT_EQ(t.Get(), 64u);  // Clamp is a pure function; Get unchanged
 }
 
-TEST_F(TuneTest, StepUpDownSaturate) {
-  Tunable t(TunableSpec{"test.step", 16, 4, 64, true, ""});
-  EXPECT_EQ(t.StepUp(), 32u);
-  EXPECT_EQ(t.StepUp(), 64u);
-  EXPECT_EQ(t.StepUp(), 64u);  // saturates at max
-  t.Set(8);
-  EXPECT_EQ(t.StepDown(), 4u);
-  EXPECT_EQ(t.StepDown(), 4u);  // saturates at min
-}
-
 TEST_F(TuneTest, RegistryCreateOrReturn) {
   TunableSpec spec{"test.registry_knob", 7, 1, 100, false, "a test knob"};
   Tunable* a = Registry::Global().Register(spec);
