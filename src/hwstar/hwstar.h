@@ -14,7 +14,6 @@
 #include "hwstar/common/timer.h"
 
 // Hardware description and discovery.
-#include "hwstar/hw/cycle_counter.h"
 #include "hwstar/hw/machine_model.h"
 #include "hwstar/hw/topology.h"
 

@@ -163,10 +163,12 @@ void Pipeline::DrainPartition(uint32_t p) {
     }
     FinishOne();
   }
-  // Last action touching the pipeline: after this decrement hits zero
-  // (with outstanding_ also zero) the pipeline may be destroyed.
+  // Last action touching the pipeline: once this decrement hits zero
+  // (with outstanding_ also zero) the pipeline may be destroyed. It runs
+  // under done_mutex_, so WaitDrained cannot see the zero and return
+  // until this task has released the mutex and is done with it.
+  std::lock_guard<std::mutex> lk(done_mutex_);
   if (active_tasks_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lk(done_mutex_);
     done_cv_.notify_all();
   }
 }

@@ -15,21 +15,9 @@ RequestType BatchKind(RequestType type) {
   return type == RequestType::kDelete ? RequestType::kPut : type;
 }
 
+/// Point-gets and writes batch; scans and transactions run alone.
 bool Batchable(RequestType kind) {
-  return kind == RequestType::kPointGet || kind == RequestType::kPut ||
-         kind == RequestType::kAggregate;
-}
-
-/// The key a point-get or write operates on.
-uint64_t KeyOf(const Request& r) {
-  switch (r.type) {
-    case RequestType::kPointGet:
-      return r.get.key;
-    case RequestType::kDelete:
-      return r.del.key;
-    default:
-      return r.put.key;
-  }
+  return kind == RequestType::kPointGet || kind == RequestType::kPut;
 }
 
 }  // namespace
@@ -51,7 +39,7 @@ bool GroupSelector::Take(const Ticket& ticket) {
                                  BatchId(r) != id_)) {
     return false;
   }
-  if (kind_ == RequestType::kPut) write_keys_.push_back(KeyOf(r));
+  if (kind_ == RequestType::kPut) write_keys_.push_back(r.key);
   ++size_;
   return true;
 }
@@ -71,25 +59,21 @@ bool GroupSelector::Writes() const {
 bool GroupSelector::Claims(const Ticket& ticket) const {
   const Request& r = ticket.request;
   return Writes() && BatchKind(r.type) == RequestType::kPut &&
-         std::find(write_keys_.begin(), write_keys_.end(), KeyOf(r)) !=
+         std::find(write_keys_.begin(), write_keys_.end(), r.key) !=
              write_keys_.end();
 }
 
 void GroupSelector::Order(std::vector<TicketPtr>* group) const {
-  if (kind_ != RequestType::kPointGet && kind_ != RequestType::kPut) return;
+  if (!Batchable(kind_)) return;
   std::stable_sort(group->begin(), group->end(),
                    [](const TicketPtr& a, const TicketPtr& b) {
-                     return KeyOf(a->request) < KeyOf(b->request);
+                     return a->request.key < b->request.key;
                    });
 }
 
-/// Which group of its kind a request may join: its kv shard, or for an
-/// aggregate its target store.
-uintptr_t GroupSelector::BatchId(const Request& r) const {
-  if (r.type == RequestType::kAggregate) {
-    return reinterpret_cast<uintptr_t>(r.agg.store);
-  }
-  return kv_ == nullptr ? 0 : kv_->ShardOf(KeyOf(r));
+/// Which group of its kind a request may join: its key's kv shard.
+uint32_t GroupSelector::BatchId(const Request& r) const {
+  return kv_ == nullptr ? 0 : kv_->ShardOf(r.key);
 }
 
 AdmissionQueue::AdmissionQueue(AdmissionOptions options)

@@ -71,14 +71,13 @@ using TicketPtr = std::unique_ptr<Ticket>;
 /// one offered to a fresh (or Reset) selector heads the group.
 ///
 /// A later ticket joins iff it batches with the head — a point-get or a
-/// write (put or delete) on the head's kv shard, an aggregate on the
-/// head's store — while the group holds fewer than max_batch tickets, so
-/// per-request fixed costs (dispatch, index-root misses, the WAL wait)
-/// amortize over the group. A write whose key is already in the group
+/// write (put or delete) on the head's kv shard — while the group holds
+/// fewer than max_batch tickets, so per-request fixed costs (dispatch,
+/// index-root misses, the WAL wait) amortize over the group. A write whose key is already in the group
 /// joins even past max_batch, and while the group's pop lingers no other
 /// pop takes it: the never-split rule, so an equal-key run never lands in
-/// two groups that could run concurrently and apply out of order. Scans,
-/// joins and transactions head a group of one (coarse-grained work; a
+/// two groups that could run concurrently and apply out of order. Scans
+/// and transactions head a group of one (coarse-grained work; a
 /// transaction serializes itself via validation, not batch placement).
 ///
 /// Grouping never changes results: every request executes with its own
@@ -117,13 +116,13 @@ class GroupSelector {
   void Order(std::vector<TicketPtr>* group) const;
 
  private:
-  uintptr_t BatchId(const Request& r) const;
+  uint32_t BatchId(const Request& r) const;
 
   const kv::KvStore* kv_;
   uint32_t max_batch_;
   uint32_t size_ = 0;  ///< tickets taken; 0 = no head yet
   RequestType kind_ = RequestType::kPointGet;  ///< kPut for any write
-  uintptr_t id_ = 0;  ///< the head's kv shard or aggregate store
+  uint32_t id_ = 0;  ///< the head's kv shard
   std::vector<uint64_t> write_keys_;  ///< keys of the writes taken
 };
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "hwstar/engine/join_query.h"
 #include "hwstar/svc/request.h"
 
 namespace hwstar::svc {
@@ -42,15 +41,6 @@ class OverloadPolicy {
     return requested;
   }
 
-  /// Effective join algorithm. Downgrading to kNoPartition trades peak
-  /// join speed for a smaller setup/materialization footprint per query.
-  virtual engine::JoinAlgorithm JoinAlgorithm(
-      const OverloadSignals& signals,
-      engine::JoinAlgorithm requested) const {
-    (void)signals;
-    return requested;
-  }
-
   /// Lowest priority still admitted; requests below it are shed at the
   /// door (drop the lowest-priority tenants first).
   virtual Priority MinAdmittedPriority(const OverloadSignals& signals) const {
@@ -62,16 +52,12 @@ class OverloadPolicy {
 /// Default policy: degrade in steps as the admission queue fills.
 ///  - past `scan_clamp_at` utilization, scans are clamped to
 ///    `scan_limit_under_load` rows;
-///  - past `join_downgrade_at`, joins run the lower-footprint
-///    no-partition algorithm (skips the radix partition pass and its
-///    scratch memory);
 ///  - past `drop_low_at`, kLow-priority requests are rejected at
 ///    admission.
 class StepDownOverloadPolicy : public OverloadPolicy {
  public:
   uint64_t scan_limit_under_load = 1024;
   double scan_clamp_at = 0.5;
-  double join_downgrade_at = 0.75;
   double drop_low_at = 0.9;
 
   uint64_t ScanLimit(const OverloadSignals& signals,
@@ -80,13 +66,6 @@ class StepDownOverloadPolicy : public OverloadPolicy {
     if (requested == 0) return scan_limit_under_load;
     return requested < scan_limit_under_load ? requested
                                              : scan_limit_under_load;
-  }
-
-  engine::JoinAlgorithm JoinAlgorithm(
-      const OverloadSignals& signals,
-      engine::JoinAlgorithm requested) const override {
-    if (signals.utilization() < join_downgrade_at) return requested;
-    return engine::JoinAlgorithm::kNoPartition;
   }
 
   Priority MinAdmittedPriority(const OverloadSignals& signals) const override {

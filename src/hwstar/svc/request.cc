@@ -11,10 +11,6 @@ const char* RequestTypeName(RequestType type) {
       return "point_get";
     case RequestType::kScan:
       return "scan";
-    case RequestType::kJoin:
-      return "join";
-    case RequestType::kAggregate:
-      return "aggregate";
     case RequestType::kPut:
       return "put";
     case RequestType::kDelete:
@@ -30,7 +26,7 @@ Request Request::PointGet(uint64_t key, uint32_t tenant, Priority priority) {
   r.type = RequestType::kPointGet;
   r.tenant = tenant;
   r.priority = priority;
-  r.get.key = key;
+  r.key = key;
   return r;
 }
 
@@ -40,8 +36,8 @@ Request Request::Put(uint64_t key, uint64_t value, uint32_t tenant,
   r.type = RequestType::kPut;
   r.tenant = tenant;
   r.priority = priority;
-  r.put.key = key;
-  r.put.value = value;
+  r.key = key;
+  r.value = value;
   return r;
 }
 
@@ -50,7 +46,7 @@ Request Request::Delete(uint64_t key, uint32_t tenant, Priority priority) {
   r.type = RequestType::kDelete;
   r.tenant = tenant;
   r.priority = priority;
-  r.del.key = key;
+  r.key = key;
   return r;
 }
 
@@ -72,29 +68,6 @@ Request Request::Scan(uint64_t lo, uint64_t hi, uint64_t limit,
   r.tenant = tenant;
   r.priority = priority;
   r.scan = {lo, hi, limit};
-  return r;
-}
-
-Request Request::Join(const engine::JoinQuery* query, uint32_t tenant,
-                      Priority priority) {
-  Request r;
-  r.type = RequestType::kJoin;
-  r.tenant = tenant;
-  r.priority = priority;
-  r.join.query = query;
-  return r;
-}
-
-Request Request::Aggregate(const storage::ColumnStore* store,
-                           engine::ExprPtr filter, engine::ExprPtr value,
-                           uint32_t tenant, Priority priority) {
-  Request r;
-  r.type = RequestType::kAggregate;
-  r.tenant = tenant;
-  r.priority = priority;
-  r.agg.store = store;
-  r.agg.filter = std::move(filter);
-  r.agg.value = std::move(value);
   return r;
 }
 
@@ -127,13 +100,6 @@ uint64_t EstimatedRequestBytes(const Request& request) {
               : std::min<uint64_t>(request.scan.limit, kUnlimitedRows);
       return kEnvelope + rows * sizeof(uint64_t);
     }
-    case RequestType::kJoin:
-      // Join materializes filtered sides; charge a fixed working-set
-      // estimate rather than walking the (borrowed) stores here.
-      return kEnvelope + (1u << 16);
-    case RequestType::kAggregate:
-      // Streaming over batches of 4096 rows; small fixed footprint.
-      return kEnvelope + 4096 * sizeof(int64_t) * 2;
   }
   return kEnvelope;
 }

@@ -5,27 +5,21 @@
 #include <vector>
 
 #include "hwstar/common/status.h"
-#include "hwstar/engine/expression.h"
-#include "hwstar/engine/join_query.h"
-#include "hwstar/storage/column_store.h"
 
 namespace hwstar::svc {
 
-/// The request shapes the service front end accepts: the OLTP point ops
-/// and the analytic queries the underlying library already executes,
-/// wrapped in one envelope so admission, batching and SLO accounting can
-/// treat them uniformly.
+/// The request shapes the service front end accepts: the KV point ops,
+/// range scans and multi-key transactions, wrapped in one envelope so
+/// admission, batching and SLO accounting can treat them uniformly.
 enum class RequestType : uint8_t {
-  kPointGet = 0,   ///< KV point read
-  kScan = 1,       ///< KV ordered range scan
-  kJoin = 2,       ///< engine::ExecuteJoin over two column stores
-  kAggregate = 3,  ///< filtered SUM/COUNT over one column store
-  kPut = 4,        ///< KV upsert (durable when the service has a WAL)
-  kDelete = 5,     ///< KV erase (durable tombstone when the service has a WAL)
-  kTxn = 6,        ///< optimistic multi-key transaction (durable only)
+  kPointGet = 0,  ///< KV point read
+  kScan = 1,      ///< KV ordered range scan
+  kPut = 2,       ///< KV upsert (durable when the service has a WAL)
+  kDelete = 3,    ///< KV erase (durable tombstone when the service has a WAL)
+  kTxn = 4,       ///< optimistic multi-key transaction (durable only)
 };
 
-inline constexpr uint32_t kNumRequestTypes = 7;
+inline constexpr uint32_t kNumRequestTypes = 5;
 
 const char* RequestTypeName(RequestType type);
 
@@ -37,19 +31,6 @@ enum class Priority : uint8_t {
 };
 
 inline constexpr uint32_t kNumPriorities = 3;
-
-struct PointGetArgs {
-  uint64_t key = 0;
-};
-
-struct PutArgs {
-  uint64_t key = 0;
-  uint64_t value = 0;
-};
-
-struct DeleteArgs {
-  uint64_t key = 0;
-};
 
 /// One step of a kTxn request, executed server-side in order. kAdd is a
 /// read-modify-write (value += operand, missing key treated as 0) — the
@@ -82,36 +63,20 @@ struct ScanArgs {
   uint64_t limit = 0;
 };
 
-struct JoinArgs {
-  /// Borrowed; must outlive the request's completion.
-  const engine::JoinQuery* query = nullptr;
-  engine::JoinAlgorithm algorithm = engine::JoinAlgorithm::kAuto;
-};
-
-struct AggregateArgs {
-  /// Borrowed; must outlive the request's completion.
-  const storage::ColumnStore* store = nullptr;
-  engine::ExprPtr filter;  ///< optional row predicate (0/1)
-  engine::ExprPtr value;   ///< summed expression; null = COUNT(*)
-};
-
-/// The typed request envelope: one payload (selected by `type`) plus the
+/// The typed request envelope: the payload its `type` reads plus the
 /// serving metadata — tenant for quota accounting, priority for queue
 /// order and shed order, deadline for SLO enforcement.
 struct Request {
   RequestType type = RequestType::kPointGet;
-  uint32_t tenant = 0;
   Priority priority = Priority::kNormal;
+  uint32_t tenant = 0;
   /// Absolute deadline in ServiceNow() nanos; 0 = none. Expired requests
   /// are shed at admission or before execution, never executed late.
   uint64_t deadline_nanos = 0;
 
-  PointGetArgs get;
-  PutArgs put;
-  DeleteArgs del;
+  uint64_t key = 0;    ///< point get, put and delete
+  uint64_t value = 0;  ///< put
   ScanArgs scan;
-  JoinArgs join;
-  AggregateArgs agg;
   TxnArgs txn;
 
   static Request PointGet(uint64_t key, uint32_t tenant = 0,
@@ -126,12 +91,6 @@ struct Request {
   static Request Scan(uint64_t lo, uint64_t hi, uint64_t limit = 0,
                       uint32_t tenant = 0,
                       Priority priority = Priority::kNormal);
-  static Request Join(const engine::JoinQuery* query, uint32_t tenant = 0,
-                      Priority priority = Priority::kNormal);
-  static Request Aggregate(const storage::ColumnStore* store,
-                           engine::ExprPtr filter, engine::ExprPtr value,
-                           uint32_t tenant = 0,
-                           Priority priority = Priority::kNormal);
 };
 
 /// Where a completed (or shed) request spent its life, phase by phase.
@@ -156,8 +115,8 @@ struct LatencyBreakdown {
 /// (nothing installed; safe to resubmit).
 struct Response {
   Status status;
-  /// True when the overload policy degraded the request (clamped scan
-  /// limit or downgraded join algorithm) instead of shedding it.
+  /// True when the overload policy degraded the request (clamped its scan
+  /// limit) instead of shedding it.
   bool degraded = false;
 
   uint64_t value = 0;          ///< point-get result; delete: 1 if key existed
@@ -167,9 +126,6 @@ struct Response {
   std::vector<uint64_t> txn_values;
   std::vector<bool> txn_found;
   uint32_t txn_attempts = 0;  ///< commit attempts consumed (>= 1 when OK)
-  engine::JoinQueryResult join;
-  int64_t agg_sum = 0;
-  uint64_t agg_rows = 0;
 
   LatencyBreakdown latency;
 };

@@ -45,8 +45,9 @@ Service::Service(ServiceOptions options, kv::KvStore* kv)
                   ? options_.policy
                   : std::make_shared<StepDownOverloadPolicy>()),
       queue_(options_.admission) {
+  HWSTAR_CHECK(kv_ != nullptr);
   RegisterMetrics(&registry_);
-  if (kv_ != nullptr) kv_->RegisterMetrics(&registry_);
+  kv_->RegisterMetrics(&registry_);
   const uint32_t n = WorkerCount(options_);
   workers_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -175,7 +176,7 @@ void Service::ExecuteBatch(std::vector<TicketPtr>* group) {
   const RequestType type = group->front()->request.type;
   const size_t n = group->size();
 
-  if (type == RequestType::kPointGet && kv_ != nullptr && n > 1) {
+  if (type == RequestType::kPointGet && n > 1) {
     // The batched fast path: one MultiGet resolves the whole (same-shard,
     // key-sorted) group, latch-free by default, through the index's
     // batched probe kernel (ops/probe_kernels.h), so the group's
@@ -186,7 +187,7 @@ void Service::ExecuteBatch(std::vector<TicketPtr>* group) {
     std::vector<uint64_t> values(n);
     std::unique_ptr<bool[]> found(new bool[n]);
     for (size_t i = 0; i < n; ++i) {
-      keys[i] = (*group)[i]->request.get.key;
+      keys[i] = (*group)[i]->request.key;
     }
     kv_->MultiGet(keys.data(), n, values.data(), found.get());
     const uint64_t exec_nanos = ServiceNow() - exec_start;
@@ -215,11 +216,8 @@ void Service::ExecuteBatch(std::vector<TicketPtr>* group) {
     std::unique_ptr<bool[]> erased(new bool[n]);
     for (size_t i = 0; i < n; ++i) {
       const Request& req = (*group)[i]->request;
-      if (req.type == RequestType::kDelete) {
-        ops[i] = dur::WriteOp{req.del.key, 0, true};
-      } else {
-        ops[i] = dur::WriteOp{req.put.key, req.put.value, false};
-      }
+      const bool is_delete = req.type == RequestType::kDelete;
+      ops[i] = dur::WriteOp{req.key, is_delete ? 0 : req.value, is_delete};
     }
     uint64_t wal_wait_nanos = 0;
     const Status st =
@@ -247,12 +245,7 @@ void Service::ExecuteBatch(std::vector<TicketPtr>* group) {
 void Service::ExecuteOne(const Request& request, Response* response) {
   switch (request.type) {
     case RequestType::kPointGet: {
-      if (kv_ == nullptr) {
-        response->status =
-            Status::FailedPrecondition("no kv backend configured");
-        return;
-      }
-      auto result = kv_->Get(request.get.key);
+      auto result = kv_->Get(request.key);
       if (result.ok()) {
         response->value = result.value();
       } else {
@@ -260,24 +253,12 @@ void Service::ExecuteOne(const Request& request, Response* response) {
       }
       return;
     }
-    case RequestType::kPut: {  // volatile: durable writes take MutateBatch
-      if (kv_ == nullptr) {
-        response->status =
-            Status::FailedPrecondition("no kv backend configured");
-        return;
-      }
-      kv_->Put(request.put.key, request.put.value);
+    case RequestType::kPut:  // volatile: durable writes take MutateBatch
+      kv_->Put(request.key, request.value);
       return;
-    }
-    case RequestType::kDelete: {  // volatile, like kPut
-      if (kv_ == nullptr) {
-        response->status =
-            Status::FailedPrecondition("no kv backend configured");
-        return;
-      }
-      response->value = kv_->Delete(request.del.key) ? 1 : 0;
+    case RequestType::kDelete:  // volatile, like kPut
+      response->value = kv_->Delete(request.key) ? 1 : 0;
       return;
-    }
     case RequestType::kTxn: {
       if (txn_mgr_ == nullptr) {
         response->status = Status::FailedPrecondition(
@@ -341,64 +322,13 @@ void Service::ExecuteOne(const Request& request, Response* response) {
       return;
     }
     case RequestType::kScan: {
-      if (kv_ == nullptr) {
-        response->status =
-            Status::FailedPrecondition("no kv backend configured");
-        return;
-      }
-      // Load signals take the admission mutex: read them only here and
-      // for joins, the two request types the policy degrades.
+      // Load signals take the admission mutex: read them only here, for
+      // the one request type the policy degrades.
       const uint64_t limit =
           policy_->ScanLimit(signals(), request.scan.limit);
       response->degraded = limit != request.scan.limit;
       kv_->RangeScanLimit(request.scan.lo, request.scan.hi, limit,
                           &response->rows);
-      return;
-    }
-    case RequestType::kJoin: {
-      if (request.join.query == nullptr) {
-        response->status = Status::InvalidArgument("join request has no query");
-        return;
-      }
-      engine::JoinExecuteOptions jopts;
-      jopts.algorithm =
-          policy_->JoinAlgorithm(signals(), request.join.algorithm);
-      response->degraded = jopts.algorithm != request.join.algorithm;
-      // Morsels run serially inside this worker: parallelism here comes
-      // from concurrent requests across the service's workers.
-      jopts.pool = nullptr;
-      response->join = engine::ExecuteJoin(*request.join.query, jopts);
-      return;
-    }
-    case RequestType::kAggregate: {
-      const storage::ColumnStore* store = request.agg.store;
-      if (store == nullptr) {
-        response->status =
-            Status::InvalidArgument("aggregate request has no store");
-        return;
-      }
-      const uint64_t n = store->num_rows();
-      constexpr uint64_t kBlock = 4096;
-      std::vector<int64_t> pred(kBlock);
-      std::vector<int64_t> vals(kBlock);
-      int64_t sum = 0;
-      uint64_t rows = 0;
-      for (uint64_t begin = 0; begin < n; begin += kBlock) {
-        const uint64_t end = std::min<uint64_t>(begin + kBlock, n);
-        if (request.agg.filter != nullptr) {
-          request.agg.filter->EvalBatch(*store, begin, end, pred.data());
-        }
-        if (request.agg.value != nullptr) {
-          request.agg.value->EvalBatch(*store, begin, end, vals.data());
-        }
-        for (uint64_t i = begin; i < end; ++i) {
-          if (request.agg.filter != nullptr && pred[i - begin] == 0) continue;
-          ++rows;
-          sum += request.agg.value != nullptr ? vals[i - begin] : 1;
-        }
-      }
-      response->agg_sum = sum;
-      response->agg_rows = rows;
       return;
     }
   }

@@ -72,7 +72,7 @@ struct ServiceMetrics {
   uint64_t completed = 0;
   /// Completions by request type (indexed by RequestType).
   uint64_t completed_by_type[kNumRequestTypes] = {};
-  uint64_t degraded = 0;  ///< completed but clamped/downgraded
+  uint64_t degraded = 0;  ///< completed with a clamped scan limit
   uint64_t batches = 0;
   uint64_t batched_requests = 0;
   obs::HistogramSnapshot admit_wait;
@@ -106,14 +106,13 @@ struct ServiceMetrics {
 ///
 /// Pipeline: Submit → AdmissionQueue → worker (pop one GroupSelector group,
 /// linger up to the batch window, execute it inline as one batch) →
-/// KvStore / DurableKvStore / engine::ExecuteJoin. A request crosses one thread hand-off, client to
-/// worker; backpressure is workers not popping.
+/// KvStore / DurableKvStore / TxnManager. A request crosses one thread
+/// hand-off, client to worker; backpressure is workers not popping.
 class Service {
  public:
-  /// `kv` backs point-get, put and scan requests (may be null when only
-  /// join/aggregate requests are served; those carry their own stores).
-  /// Puts through this constructor are volatile (no WAL). Borrowed; must
-  /// outlive the service.
+  /// `kv` backs point-get, put, delete and scan requests; it must not be
+  /// null. Writes through this constructor are volatile (no WAL).
+  /// Borrowed; must outlive the service.
   Service(ServiceOptions options, kv::KvStore* kv);
 
   /// Durable variant: reads go straight to `durable->kv()`; puts and

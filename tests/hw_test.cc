@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "hwstar/hw/cycle_counter.h"
 #include "hwstar/hw/machine_model.h"
 #include "hwstar/hw/topology.h"
 #include "hwstar/tune/tunable.h"
@@ -82,21 +81,6 @@ TEST(MachineModelTest, ToStringIsInformative) {
   EXPECT_NE(s.find("dram="), std::string::npos);
   // Hand-built models claim the ISA the best compiled backend needs.
   EXPECT_NE(s.find("isa=sse4.2 avx2"), std::string::npos);
-}
-
-TEST(CycleCounterTest, MonotonicNonDecreasing) {
-  uint64_t a = ReadCycleCounter();
-  volatile uint64_t sink = 0;
-  for (int i = 0; i < 10000; ++i) sink += static_cast<uint64_t>(i);
-  uint64_t b = ReadCycleCounter();
-  EXPECT_GE(b, a);
-}
-
-TEST(CycleCounterTest, FrequencyEstimatePlausible) {
-  double hz = EstimateCycleCounterHz();
-  // Anything between 100 MHz and 10 GHz counts as plausible.
-  EXPECT_GT(hz, 1e8);
-  EXPECT_LT(hz, 1e10);
 }
 
 TEST(MachineModelTest, StreamKnobDefaultsAndClamping) {

@@ -3,35 +3,23 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "hwstar/dur/durable_kv_store.h"
 #include "hwstar/dur/file_backend.h"
-#include "hwstar/engine/expression.h"
 #include "hwstar/kv/kv_store.h"
-#include "hwstar/storage/column_store.h"
 #include "hwstar/svc/admission.h"
 #include "hwstar/svc/overload_policy.h"
 #include "hwstar/svc/service.h"
 
 namespace hwstar::svc {
 namespace {
-
-/// Two-column store: col 0 = i, col 1 = i % 97.
-storage::ColumnStore MakeColumnStore(uint64_t rows) {
-  storage::Schema s(
-      {{"a", storage::TypeId::kInt64}, {"b", storage::TypeId::kInt64}});
-  storage::Table t(s);
-  for (uint64_t i = 0; i < rows; ++i) {
-    t.column(0).AppendInt64(static_cast<int64_t>(i));
-    t.column(1).AppendInt64(static_cast<int64_t>(i % 97));
-  }
-  EXPECT_TRUE(t.SetRowCount(rows).ok());
-  return std::move(storage::ColumnStore::FromTable(t)).value();
-}
 
 TicketPtr MakeTicket(Request request) {
   auto t = std::make_unique<Ticket>();
@@ -174,8 +162,8 @@ TEST(AdmissionQueueTest, LingeringPopKeepsItsClaimedTickets) {
   queue.Close();  // ends the linger
   lingerer.join();
   ASSERT_EQ(lingered.size(), 2u);
-  EXPECT_EQ(lingered[0]->request.put.value, 100u);
-  EXPECT_EQ(lingered[1]->request.put.value, 101u);
+  EXPECT_EQ(lingered[0]->request.value, 100u);
+  EXPECT_EQ(lingered[1]->request.value, 101u);
 }
 
 // --- GroupSelector --------------------------------------------------------
@@ -215,9 +203,9 @@ TEST(GroupSelectorTest, GroupsGetsByShardSortedByKey) {
     auto group = PopOrdered(queue.get(), &selector);
     ASSERT_EQ(group.size(), 2u);
     EXPECT_EQ(group[0]->request.type, RequestType::kPointGet);
-    EXPECT_LT(group[0]->request.get.key, group[1]->request.get.key);
-    EXPECT_EQ(store.ShardOf(group[0]->request.get.key),
-              store.ShardOf(group[1]->request.get.key));
+    EXPECT_LT(group[0]->request.key, group[1]->request.key);
+    EXPECT_EQ(store.ShardOf(group[0]->request.key),
+              store.ShardOf(group[1]->request.key));
   }
   EXPECT_EQ(queue->depth(), 0u);
 }
@@ -236,12 +224,12 @@ TEST(GroupSelectorTest, PutsGroupByShardAndKeepSameKeySubmissionOrder) {
   EXPECT_EQ(group[0]->request.type, RequestType::kPut);
   std::vector<uint64_t> key7_values;
   for (const auto& t : group) {
-    if (t->request.put.key == 7) key7_values.push_back(t->request.put.value);
+    if (t->request.key == 7) key7_values.push_back(t->request.value);
   }
   EXPECT_EQ(key7_values, (std::vector<uint64_t>{100, 101, 102}));
   // And the keys themselves are sorted.
   for (size_t i = 1; i < group.size(); ++i) {
-    EXPECT_LE(group[i - 1]->request.put.key, group[i]->request.put.key);
+    EXPECT_LE(group[i - 1]->request.key, group[i]->request.key);
   }
 }
 
@@ -284,18 +272,18 @@ TEST(GroupSelectorTest, NeverSplitsEqualKeyPutRunAcrossBatches) {
                         Request::Put(5, 52)});
   auto group = PopOrdered(queue.get(), &selector);
   ASSERT_EQ(group.size(), 4u);
-  EXPECT_EQ(group[0]->request.put.key, 2u);
+  EXPECT_EQ(group[0]->request.key, 2u);
   std::vector<uint64_t> key5_values;
   for (size_t i = 1; i < group.size(); ++i) {
-    EXPECT_EQ(group[i]->request.put.key, 5u);
-    key5_values.push_back(group[i]->request.put.value);
+    EXPECT_EQ(group[i]->request.key, 5u);
+    key5_values.push_back(group[i]->request.value);
   }
   EXPECT_EQ(key5_values, (std::vector<uint64_t>{50, 51, 52}));
 
   ASSERT_EQ(queue->depth(), 1u);
   group = PopOrdered(queue.get(), &selector);
   ASSERT_EQ(group.size(), 1u);
-  EXPECT_EQ(group[0]->request.put.key, 1u);
+  EXPECT_EQ(group[0]->request.key, 1u);
 }
 
 // --- Service end to end ---------------------------------------------------
@@ -306,7 +294,44 @@ ServiceOptions NoDegradeOptions() {
   return opts;
 }
 
-TEST(ServiceTest, PointGetScanAggregateRoundTrip) {
+// Holds workers without timing: every scan blocks in ScanLimit until
+// Release(), then runs with the limit it asked for. A scan is a group of
+// one, and the service calls ScanLimit with no lock held, so each gated
+// scan holds exactly one worker until the test releases the gate.
+class ScanGate : public OverloadPolicy {
+ public:
+  uint64_t ScanLimit(const OverloadSignals& signals,
+                     uint64_t requested) const override {
+    (void)signals;
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++held_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+    --held_;
+    return requested;
+  }
+
+  // Waits until `n` scans are held at the gate; false after 60 s.
+  bool WaitHeld(uint32_t n) const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(60),
+                        [&] { return held_ == n; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable uint32_t held_ = 0;
+  bool open_ = false;
+};
+
+TEST(ServiceTest, PointGetAndScanRoundTrip) {
   kv::KvOptions kopts;
   kopts.shards = 4;
   kv::KvStore store(kopts);
@@ -316,6 +341,7 @@ TEST(ServiceTest, PointGetScanAggregateRoundTrip) {
   Response hit = service.Call(Request::PointGet(42));
   EXPECT_TRUE(hit.status.ok());
   EXPECT_EQ(hit.value, 420u);
+  EXPECT_GT(hit.latency.total_nanos, 0u);
 
   Response miss = service.Call(Request::PointGet(5000));
   EXPECT_EQ(miss.status.code(), StatusCode::kNotFound);
@@ -325,14 +351,6 @@ TEST(ServiceTest, PointGetScanAggregateRoundTrip) {
   ASSERT_EQ(scan.rows.size(), 10u);
   EXPECT_EQ(scan.rows[0], 100u);
   EXPECT_EQ(scan.rows[9], 190u);
-
-  storage::ColumnStore cs = MakeColumnStore(100);
-  Response agg = service.Call(Request::Aggregate(
-      &cs, engine::Lt(engine::Col(0), engine::Lit(10)), engine::Col(0)));
-  EXPECT_TRUE(agg.status.ok());
-  EXPECT_EQ(agg.agg_rows, 10u);
-  EXPECT_EQ(agg.agg_sum, 45);
-  EXPECT_GT(agg.latency.total_nanos, 0u);
 }
 
 TEST(ServiceTest, DeadlineAlreadyExpiredIsShedAtSubmit) {
@@ -358,8 +376,6 @@ TEST(ServiceTest, BatchedResultsIdenticalToUnbatched) {
   const uint64_t stride = ~uint64_t{0} / 4096;
   for (uint64_t i = 0; i < 4096; i += 2) store.Put(i * stride, i);
 
-  storage::ColumnStore cs = MakeColumnStore(10000);
-
   std::vector<Request> requests;
   for (uint64_t i = 0; i < 512; ++i) {  // every other key misses
     requests.push_back(Request::PointGet((i * 13 % 4096) * stride));
@@ -367,11 +383,6 @@ TEST(ServiceTest, BatchedResultsIdenticalToUnbatched) {
   for (uint64_t i = 0; i < 16; ++i) {
     requests.push_back(
         Request::Scan(i * stride * 64, (i + 4) * stride * 64));
-  }
-  for (int64_t i = 0; i < 16; ++i) {
-    requests.push_back(Request::Aggregate(
-        &cs, engine::Lt(engine::Col(1), engine::Lit(i * 7)),
-        engine::Add(engine::Col(0), engine::Col(1))));
   }
 
   // Batched: through the service, submitted concurrently so the workers
@@ -397,7 +408,7 @@ TEST(ServiceTest, BatchedResultsIdenticalToUnbatched) {
     const Request& req = requests[i];
     switch (req.type) {
       case RequestType::kPointGet: {
-        auto ref = store.Get(req.get.key);
+        auto ref = store.Get(req.key);
         EXPECT_EQ(got.status.ok(), ref.ok()) << "request " << i;
         if (ref.ok()) {
           EXPECT_EQ(got.value, ref.value()) << "request " << i;
@@ -413,19 +424,6 @@ TEST(ServiceTest, BatchedResultsIdenticalToUnbatched) {
         EXPECT_EQ(got.rows, ref) << "request " << i;
         break;
       }
-      case RequestType::kAggregate: {
-        int64_t sum = 0;
-        uint64_t rows = 0;
-        for (uint64_t row = 0; row < cs.num_rows(); ++row) {
-          if (req.agg.filter->Eval(cs, row) == 0) continue;
-          ++rows;
-          sum += req.agg.value->Eval(cs, row);
-        }
-        EXPECT_EQ(got.agg_sum, sum) << "request " << i;
-        EXPECT_EQ(got.agg_rows, rows) << "request " << i;
-        break;
-      }
-      case RequestType::kJoin:
       case RequestType::kPut:
       case RequestType::kDelete:
       case RequestType::kTxn:
@@ -525,23 +523,26 @@ TEST(ServiceTest, MultiThreadedOpenLoopSmoke) {
 }
 
 TEST(ServiceTest, OverloadShedsInsteadOfQueueingUnbounded) {
-  storage::ColumnStore cs = MakeColumnStore(1 << 20);
-
-  ServiceOptions opts = NoDegradeOptions();
+  auto gate = std::make_shared<ScanGate>();
+  ServiceOptions opts;
+  opts.policy = gate;
   opts.admission.max_queue_depth = 4;  // tiny bound
   opts.worker_threads = 1;
-  opts.dispatch_max = 1;  // no batching: drain one aggregate at a time
+  opts.dispatch_max = 1;
   opts.max_batch = 1;
   opts.batch_window_nanos = 0;
   kv::KvStore store;
   Service service(opts, &store);
 
-  // Each aggregate takes ~ms; a tight submit loop must overflow depth 4.
+  // The one worker holds the first scan, so the queue fills to its bound
+  // of 4 and the other 95 scans are shed at the door.
   std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(
-        service.Submit(Request::Aggregate(&cs, nullptr, engine::Col(0))));
+  futures.push_back(service.Submit(Request::Scan(0, 10)));
+  EXPECT_TRUE(gate->WaitHeld(1));
+  for (int i = 1; i < 100; ++i) {
+    futures.push_back(service.Submit(Request::Scan(0, 10)));
   }
+  gate->Release();
   uint64_t shed = 0, done = 0;
   for (auto& f : futures) {
     Response r = f.get();
@@ -552,8 +553,8 @@ TEST(ServiceTest, OverloadShedsInsteadOfQueueingUnbounded) {
       ++shed;
     }
   }
-  EXPECT_GT(shed, 0u);          // backpressure engaged
-  EXPECT_GT(done, 0u);          // but admitted work completed
+  EXPECT_EQ(shed, 95u);  // backpressure engaged
+  EXPECT_EQ(done, 5u);   // but admitted work completed
   EXPECT_EQ(shed + done, 100u);
   EXPECT_EQ(service.metrics().admission.shed_queue_full, shed);
 }
@@ -570,8 +571,6 @@ TEST(ServiceTest, StepDownPolicyClampsScansUnderLoad) {
   EXPECT_EQ(policy.ScanLimit(idle, 0), 0u);
   EXPECT_EQ(policy.ScanLimit(busy, 0), policy.scan_limit_under_load);
   EXPECT_EQ(policy.ScanLimit(busy, 10), 10u);
-  EXPECT_EQ(policy.JoinAlgorithm(busy, engine::JoinAlgorithm::kRadix),
-            engine::JoinAlgorithm::kNoPartition);
   EXPECT_EQ(policy.MinAdmittedPriority(busy), Priority::kLow);
   busy.queue_depth = 95;
   EXPECT_EQ(policy.MinAdmittedPriority(busy), Priority::kNormal);
@@ -795,17 +794,17 @@ TEST(GroupSelectorTest, MixedPutDeleteWritesGroupAndNeverSplitOnEqualKey) {
   auto group = PopOrdered(queue.get(), &selector);
   ASSERT_EQ(group.size(), 3u);
   EXPECT_EQ(group[0]->request.type, RequestType::kPut);
-  EXPECT_EQ(group[0]->request.put.value, 50u);
+  EXPECT_EQ(group[0]->request.value, 50u);
   EXPECT_EQ(group[1]->request.type, RequestType::kDelete);
   EXPECT_EQ(group[2]->request.type, RequestType::kPut);
-  EXPECT_EQ(group[2]->request.put.value, 52u);
+  EXPECT_EQ(group[2]->request.value, 52u);
 
   // Keys 1 and 2 stayed queued and form the next group, sorted.
   group = PopOrdered(queue.get(), &selector);
   ASSERT_EQ(group.size(), 2u);
   EXPECT_EQ(group[0]->request.type, RequestType::kDelete);
-  EXPECT_EQ(group[0]->request.del.key, 1u);
-  EXPECT_EQ(group[1]->request.put.key, 2u);
+  EXPECT_EQ(group[0]->request.key, 1u);
+  EXPECT_EQ(group[1]->request.key, 2u);
   EXPECT_EQ(queue->depth(), 0u);
 }
 
@@ -974,39 +973,33 @@ uint32_t MaxInFlightUntilDone(const Service& service,
   return max_in_flight;
 }
 
-// A filtered SUM over a 1M-row store: tens of ms, long enough for every
-// worker to pop its own before the first finishes.
-Request LongAggregate(const storage::ColumnStore* cs) {
-  return Request::Aggregate(cs, engine::Lt(engine::Col(1), engine::Lit(50)),
-                            engine::Add(engine::Col(0), engine::Col(1)));
-}
-
-// A pop takes one group, so independent long requests spread over the
-// workers instead of queueing behind one of them.
+// A pop takes one group, so independent requests spread over the workers
+// instead of queueing behind one of them: four held scans occupy all four
+// workers at once, and the other four wait in the queue, not on a worker.
 TEST(ServiceTest, IndependentRequestsRunInParallel) {
-  storage::ColumnStore cs = MakeColumnStore(1 << 20);
-  ServiceOptions opts = NoDegradeOptions();
+  auto gate = std::make_shared<ScanGate>();
+  ServiceOptions opts;
+  opts.policy = gate;
   opts.worker_threads = 4;
   opts.max_batch = 1;
   kv::KvStore store;
+  for (uint64_t k = 0; k < 100; ++k) store.Put(k, k);
   Service service(opts, &store);
 
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(service.Submit(LongAggregate(&cs)));
+    futures.push_back(service.Submit(Request::Scan(10, 19)));
   }
-  EXPECT_EQ(MaxInFlightUntilDone(service, &futures), 4u);
-  uint64_t total_exec = 0;
-  uint64_t max_batch_wait = 0;
+  EXPECT_TRUE(gate->WaitHeld(4));
+  EXPECT_EQ(service.signals().in_flight, 4u);
+  EXPECT_EQ(service.signals().queue_depth, 4u);
+  gate->Release();
+  EXPECT_LE(MaxInFlightUntilDone(service, &futures), 4u);
   for (auto& f : futures) {
     const Response r = f.get();
     EXPECT_TRUE(r.status.ok());
-    total_exec += r.latency.exec_nanos;
-    max_batch_wait = std::max(max_batch_wait, r.latency.batch_wait_nanos);
+    EXPECT_EQ(r.rows.size(), 10u);
   }
-  // Popped together onto one worker, the last aggregate would wait out
-  // the other seven's executions between its pop and its start.
-  EXPECT_LT(max_batch_wait, total_exec / 2);
 }
 
 // The scrape's linger counters: pops that lingered, and tickets lingers
@@ -1072,21 +1065,23 @@ TEST(ServiceTest, LoneGetWithIdlePeerDoesNotLinger) {
 // While the other worker is busy, a lone get lingers: arrivals queue for
 // it, so a second same-shard get submitted inside the window rides the
 // first get's batch. A queue one ticket deep (dispatch_max 1) ends the
-// linger, so the aggregate need only outlast the second Submit.
+// linger; the held scan keeps the other worker busy until the gets are
+// answered.
 TEST(ServiceTest, GetLingersWhilePeersAreBusy) {
-  storage::ColumnStore cs = MakeColumnStore(1 << 20);
+  auto gate = std::make_shared<ScanGate>();
   kv::KvStore store;
   store.Put(7, 70);
   store.Put(8, 80);
-  ServiceOptions opts = NoDegradeOptions();
+  ServiceOptions opts;
+  opts.policy = gate;
   opts.worker_threads = 2;
   opts.dispatch_max = 1;
   opts.batch_window_nanos = 1'000'000'000;
   Service service(opts, &store);
 
-  std::future<Response> agg = service.Submit(LongAggregate(&cs));
-  // One worker holds the aggregate...
-  while (service.signals().in_flight != 1) std::this_thread::yield();
+  std::future<Response> scan = service.Submit(Request::Scan(7, 8));
+  // One worker holds the scan...
+  EXPECT_TRUE(gate->WaitHeld(1));
   const int64_t lingers = Lingers(service);
   const int64_t mates = LingerMates(service);
   std::future<Response> first = service.Submit(Request::PointGet(7));
@@ -1095,8 +1090,9 @@ TEST(ServiceTest, GetLingersWhilePeersAreBusy) {
   std::future<Response> second = service.Submit(Request::PointGet(8));
   EXPECT_EQ(first.get().value, 70u);
   EXPECT_EQ(second.get().value, 80u);
-  EXPECT_TRUE(agg.get().status.ok());
-  EXPECT_EQ(service.metrics().batches, 2u);  // the aggregate; both gets
+  gate->Release();
+  EXPECT_EQ(scan.get().rows.size(), 2u);
+  EXPECT_EQ(service.metrics().batches, 2u);  // the scan; both gets
   EXPECT_EQ(Lingers(service) - lingers, 1);
   EXPECT_EQ(LingerMates(service) - mates, 1);
 }
@@ -1146,8 +1142,9 @@ TEST(ServiceTest, FullGroupDoesNotLinger) {
 // max_pending_batches caps the groups popped but not yet finished, even
 // with more worker threads configured than that.
 TEST(ServiceTest, MaxPendingBatchesCapsPoppedGroups) {
-  storage::ColumnStore cs = MakeColumnStore(1 << 20);
-  ServiceOptions opts = NoDegradeOptions();
+  auto gate = std::make_shared<ScanGate>();
+  ServiceOptions opts;
+  opts.policy = gate;
   opts.worker_threads = 4;
   opts.max_pending_batches = 2;
   opts.max_batch = 1;  // one request per group: in_flight counts groups
@@ -1156,9 +1153,14 @@ TEST(ServiceTest, MaxPendingBatchesCapsPoppedGroups) {
 
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(service.Submit(LongAggregate(&cs)));
+    futures.push_back(service.Submit(Request::Scan(0, 10)));
   }
-  EXPECT_EQ(MaxInFlightUntilDone(service, &futures), 2u);
+  // Two groups held, and no worker left to pop a third.
+  EXPECT_TRUE(gate->WaitHeld(2));
+  EXPECT_EQ(service.signals().in_flight, 2u);
+  EXPECT_EQ(service.signals().queue_depth, 4u);
+  gate->Release();
+  EXPECT_LE(MaxInFlightUntilDone(service, &futures), 2u);
   for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
   EXPECT_EQ(service.metrics().batches, 6u);
 }
@@ -1219,7 +1221,7 @@ TEST(ServiceTest, ShutdownUnderLoadResolvesEveryFuture) {
           const Request& req = requests[i];
           if (r.status.ok()) {
             if (req.type == RequestType::kPut) {
-              acked_puts[c].emplace_back(req.put.key, req.put.value);
+              acked_puts[c].emplace_back(req.key, req.value);
             } else if (req.type == RequestType::kTxn) {
               ++acked_txns[c];
             }
