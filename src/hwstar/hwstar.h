@@ -27,7 +27,6 @@
 #include "hwstar/sim/numa_model.h"
 #include "hwstar/sim/offload_model.h"
 #include "hwstar/sim/prefetcher.h"
-#include "hwstar/sim/roofline.h"
 #include "hwstar/sim/tlb.h"
 
 // Memory management.
@@ -72,12 +71,10 @@
 #include "hwstar/ops/join_nop.h"
 #include "hwstar/ops/join_radix.h"
 #include "hwstar/ops/join_sort_merge.h"
-#include "hwstar/ops/merge.h"
 #include "hwstar/ops/partition.h"
 #include "hwstar/ops/relation.h"
 #include "hwstar/ops/selection.h"
 #include "hwstar/ops/sort.h"
-#include "hwstar/ops/topk.h"
 
 // Embedded key-value store.
 #include "hwstar/kv/kv_store.h"
@@ -86,7 +83,6 @@
 // Query engine.
 #include "hwstar/engine/expression.h"
 #include "hwstar/engine/fused.h"
-#include "hwstar/engine/join_query.h"
 #include "hwstar/engine/parallel.h"
 #include "hwstar/engine/plan.h"
 #include "hwstar/engine/planner.h"

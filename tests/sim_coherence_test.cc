@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "hwstar/sim/coherence.h"
-#include "hwstar/sim/roofline.h"
 
 namespace hwstar::sim {
 namespace {
@@ -92,50 +91,6 @@ TEST(CoherenceTest, PerCoreStatsSeparate) {
   EXPECT_EQ(model.core_stats(0).reads, 2u);
   EXPECT_EQ(model.core_stats(0).writes, 0u);
   EXPECT_EQ(model.core_stats(1).writes, 1u);
-}
-
-TEST(RooflineTest, RidgeSeparatesRegimes) {
-  RooflineModel model;  // 16 Gop/s, 25.6 GB/s -> ridge 0.625 op/B
-  EXPECT_NEAR(model.RidgeIntensity(), 0.625, 1e-9);
-  EXPECT_TRUE(model.IsBandwidthBound(0.1));
-  EXPECT_FALSE(model.IsBandwidthBound(10.0));
-}
-
-TEST(RooflineTest, AttainableClampsAtPeak) {
-  RooflineModel model;
-  EXPECT_DOUBLE_EQ(model.AttainableGflops(100.0), 16.0);
-  EXPECT_NEAR(model.AttainableGflops(0.1), 2.56, 1e-9);
-  EXPECT_DOUBLE_EQ(model.AttainableGflops(0.0), 0.0);
-}
-
-TEST(RooflineTest, PredictTakesMaxOfRoofs) {
-  RooflineModel model;
-  // 1GB moved, 1 op/value at 8B/value -> bandwidth bound.
-  const uint64_t bytes = 1u << 30;
-  const uint64_t ops = bytes / 8;
-  const double t = model.PredictSeconds(bytes, ops);
-  EXPECT_NEAR(t, static_cast<double>(bytes) / (25.6e9), 1e-6);
-}
-
-TEST(RooflineTest, CompressionPaysWhenBandwidthBound) {
-  RooflineModel model;
-  const uint64_t bytes = 1u << 30;
-  const uint64_t ops = bytes / 8;  // 0.125 op/B: bandwidth bound
-  const double raw = model.PredictSeconds(bytes, ops);
-  // 4x compression, 2 extra decode ops per value.
-  const double compressed =
-      model.PredictCompressedSeconds(bytes, ops, 4.0, 2 * ops);
-  EXPECT_LT(compressed, raw);
-}
-
-TEST(RooflineTest, CompressionHurtsWhenComputeBound) {
-  RooflineModel model;
-  const uint64_t bytes = 1 << 20;
-  const uint64_t ops = 100ull * (bytes / 8);  // deeply compute bound
-  const double raw = model.PredictSeconds(bytes, ops);
-  const double compressed =
-      model.PredictCompressedSeconds(bytes, ops, 4.0, 10 * (bytes / 8));
-  EXPECT_GT(compressed, raw);
 }
 
 }  // namespace
