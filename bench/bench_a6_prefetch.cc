@@ -20,13 +20,11 @@
 
 #include "bench_common.h"
 #include "hwstar/exec/executor.h"
-#include "hwstar/ops/concurrent_hash_table.h"
 #include "hwstar/ops/hash_table.h"
 #include "hwstar/workload/distributions.h"
 
 namespace {
 
-using hwstar::ops::ConcurrentHashTable;
 using hwstar::ops::LinearProbeTable;
 
 constexpr uint64_t kBigBuild = 1 << 21;    // 64MB table: DRAM
@@ -84,17 +82,14 @@ void BM_Build(benchmark::State& state, bool parallel) {
   hwstar::exec::Executor pool(2);
   for (auto _ : state) {
     if (parallel) {
-      ConcurrentHashTable table(kBigBuild);
+      LinearProbeTable table(kBigBuild);
       const uint64_t half = kBigBuild / 2;
       pool.Submit([&](uint32_t) {
-        for (uint64_t i = 0; i < half; ++i) {
-          table.Insert(rel.keys[i], rel.payloads[i]);
-        }
+        table.InsertShared(rel.keys.data(), rel.payloads.data(), half);
       });
       pool.Submit([&](uint32_t) {
-        for (uint64_t i = half; i < kBigBuild; ++i) {
-          table.Insert(rel.keys[i], rel.payloads[i]);
-        }
+        table.InsertShared(rel.keys.data() + half, rel.payloads.data() + half,
+                           kBigBuild - half);
       });
       pool.WaitIdle();
       benchmark::DoNotOptimize(table.size());

@@ -6,6 +6,15 @@
 
 namespace hwstar {
 
+/// Nanoseconds on the process's one monotonic clock (steady_clock): the
+/// timestamp every deadline, latency and pacing interval is measured on.
+inline uint64_t NowNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 /// Monotonic wall-clock stopwatch with nanosecond resolution.
 class WallTimer {
  public:

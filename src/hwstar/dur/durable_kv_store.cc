@@ -2,26 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <limits>
 #include <utility>
 
 #include "hwstar/common/macros.h"
+#include "hwstar/common/timer.h"
 #include "hwstar/dur/checkpoint.h"
 #include "hwstar/dur/wal_format.h"
 
 namespace hwstar::dur {
-
-namespace {
-
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 DurableKvStore::DurableKvStore(FileBackend* backend, std::string prefix,
                                DurableKvOptions options)

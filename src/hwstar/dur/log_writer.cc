@@ -5,17 +5,11 @@
 #include <cstring>
 
 #include "hwstar/common/macros.h"
+#include "hwstar/common/timer.h"
 
 namespace hwstar::dur {
 
 namespace {
-
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 

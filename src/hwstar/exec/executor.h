@@ -45,10 +45,11 @@ struct ExecutorOptions {
 /// parallelism (Leis et al.): locality by default, load balance under
 /// skew, no global queue lock serializing dispatch.
 ///
-/// On top of the stealing core the Executor carries the production
-/// semantics the serving layer depends on: `Submit` fails cleanly once
-/// shutdown has begun, `TrySubmit` is the bounded enqueue that svc
-/// admission backpressure rests on, `Shutdown` drains accepted tasks
+/// On top of the stealing core the Executor carries production
+/// semantics: `Submit` fails cleanly once shutdown has begun, `TrySubmit`
+/// is a bounded enqueue that fails instead of queueing past a depth (svc
+/// does not use it: its own AdmissionQueue bounds and sheds requests
+/// before any thread runs them), `Shutdown` drains accepted tasks
 /// before joining, `WaitIdle` blocks until every accepted task has
 /// finished, and obs counters (tasks run, local pops, steals) back
 /// `tasks_run()` and `stats()`.
@@ -75,8 +76,7 @@ class Executor {
 
   /// Bounded enqueue: fails without blocking when shutdown has begun or
   /// the executor already holds `max_queue_depth` unclaimed tasks
-  /// (0 = unbounded). The primitive the svc admission layer builds its
-  /// backpressure on.
+  /// (0 = unbounded).
   bool TrySubmit(Task task, size_t max_queue_depth = 0,
                  int preferred_worker = -1);
 

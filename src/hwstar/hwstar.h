@@ -65,7 +65,6 @@
 #include "hwstar/ops/art.h"
 #include "hwstar/ops/bloom_filter.h"
 #include "hwstar/ops/btree.h"
-#include "hwstar/ops/concurrent_hash_table.h"
 #include "hwstar/ops/hash_table.h"
 #include "hwstar/ops/hot_cold.h"
 #include "hwstar/ops/join_nop.h"

@@ -24,7 +24,11 @@ LinearProbeTable::LinearProbeTable(uint64_t expected, double load_factor) {
 
 void LinearProbeTable::Insert(uint64_t key, uint64_t value) {
   HWSTAR_DCHECK(key != kEmpty);
-  HWSTAR_CHECK(size_ < capacity());  // table never fills completely
+  // Single writer: a plain load and store, no locked read-modify-write.
+  const uint64_t size = size_.load(std::memory_order_relaxed);
+  // The table never fills completely: a probe for an absent key stops
+  // only at an empty slot.
+  HWSTAR_CHECK(size + 1 < capacity());
   uint64_t slot = HomeSlot(key);
   while (slots_[slot].key.load(std::memory_order_relaxed) != kEmpty) {
     slot = (slot + 1) & mask_;
@@ -34,7 +38,33 @@ void LinearProbeTable::Insert(uint64_t key, uint64_t value) {
   // and the entry is simply not there yet.
   slots_[slot].value.store(value, std::memory_order_relaxed);
   slots_[slot].key.store(key, std::memory_order_release);
-  ++size_;
+  size_.store(size + 1, std::memory_order_relaxed);
+}
+
+void LinearProbeTable::InsertShared(const uint64_t* keys,
+                                    const uint64_t* values, size_t n) {
+  // Reserving the whole call's entries up front keeps the fill check
+  // exact across threads, so every claim loop below finds an empty slot.
+  const uint64_t before = size_.fetch_add(n, std::memory_order_relaxed);
+  HWSTAR_CHECK(before + n < capacity());  // as in Insert
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = keys[i];
+    HWSTAR_DCHECK(key != kEmpty);
+    uint64_t slot = HomeSlot(key);
+    for (;;) {
+      uint64_t expected = kEmpty;
+      if (slots_[slot].key.load(std::memory_order_relaxed) == kEmpty &&
+          slots_[slot].key.compare_exchange_strong(
+              expected, key, std::memory_order_acq_rel)) {
+        break;
+      }
+      slot = (slot + 1) & mask_;
+    }
+    // The key is visible before its value: a racing probe may read the
+    // value as 0 (the class contract); a thread that has synchronized
+    // with this call's return reads it exactly.
+    slots_[slot].value.store(values[i], std::memory_order_release);
+  }
 }
 
 bool LinearProbeTable::Find(uint64_t key, uint64_t* out) const {

@@ -32,13 +32,17 @@ namespace hwstar::ops {
 /// (mem::HugePageAlloc), so a probe into a table far above the last-level
 /// cache misses the TLB far less often.
 ///
-/// Concurrency contract (atomic publication): a single writer may Insert
-/// concurrently with any number of readers. Insert stores the value, then
-/// publishes the key with a release store; readers load keys with acquire,
-/// so once a probe sees a key it sees that key's value. An in-progress
-/// insert is simply invisible (its slot still reads kEmpty). There is no
-/// resizing and no deletion, so no reclamation is needed; size() is
-/// writer-side only. Multiple writers still require external serialization.
+/// Concurrency contract, two build paths (never run at the same time):
+///  - Insert (atomic publication): a single writer may Insert concurrently
+///    with any number of readers. Insert stores the value, then publishes
+///    the key with a release store; readers load keys with acquire, so
+///    once a probe sees a key it sees that key's value. An in-progress
+///    insert is simply invisible (its slot still reads kEmpty).
+///  - InsertShared (CAS slot claiming): any number of threads may call it
+///    at once -- the parallel no-partitioning join's shared build. A
+///    probe that races such a build may miss an entry or read its value
+///    as 0; reads are exact once every InsertShared call has returned.
+/// There is no resizing and no deletion, so no reclamation is needed.
 class LinearProbeTable {
  public:
   /// Sentinel marking an empty slot; the key value ~0 cannot be inserted.
@@ -51,6 +55,15 @@ class LinearProbeTable {
   /// Inserts key->value; keys may repeat. No resizing (capacity is sized
   /// up front, as join builds know their input cardinality).
   void Insert(uint64_t key, uint64_t value);
+
+  /// Inserts keys[i]->values[i] for i in [0, n); safe to call from many
+  /// threads at once (see the class contract), but not concurrently with
+  /// Insert. Each entry claims its slot with a compare-and-swap on the
+  /// key, then stores the value with release. size() advances by one
+  /// relaxed add per call, never one per entry: a counter bumped by every
+  /// insert of every thread would ping-pong its line and serialize the
+  /// build.
+  void InsertShared(const uint64_t* keys, const uint64_t* values, size_t n);
 
   /// Invokes fn(value) for every entry matching key; returns match count.
   /// Templated on the callable so the per-key hot path inlines it -- a
@@ -141,7 +154,7 @@ class LinearProbeTable {
   }
 
   uint64_t capacity() const { return mask_ + 1; }
-  uint64_t size() const { return size_; }
+  uint64_t size() const { return size_.load(std::memory_order_relaxed); }
   uint64_t MemoryBytes() const { return capacity() * sizeof(Slot); }
 
  private:
@@ -183,7 +196,7 @@ class LinearProbeTable {
   std::unique_ptr<Slot[], mem::AlignedDeleter> slots_;
   uint64_t mask_;
   uint32_t shift_;
-  uint64_t size_ = 0;
+  std::atomic<uint64_t> size_{0};
 };
 
 /// Chained (bucket + linked list) hash table: the textbook,

@@ -6,7 +6,6 @@
 
 #include "hwstar/exec/morsel.h"
 #include "hwstar/ops/bloom_filter.h"
-#include "hwstar/ops/concurrent_hash_table.h"
 
 namespace hwstar::ops {
 
@@ -118,21 +117,19 @@ JoinResult NoPartitionHashJoin(const Relation& build, const Relation& probe,
     for (uint64_t i = 0; i < build.size(); ++i) bloom->Add(build.keys[i]);
   }
 
+  LinearProbeTable table(build.size(), options.load_factor);
   if (options.parallel_build && options.pool != nullptr) {
-    ConcurrentHashTable table(build.size(), options.load_factor);
     exec::ParallelForMorsels(
         options.pool, build.size(), /*morsel_size=*/0,
         [&](uint32_t /*worker*/, exec::Morsel m) {
-          for (uint64_t i = m.begin; i < m.end; ++i) {
-            table.Insert(build.keys[i], build.payloads[i]);
-          }
+          table.InsertShared(build.keys.data() + m.begin,
+                             build.payloads.data() + m.begin,
+                             m.end - m.begin);
         });
-    return ProbeAll(table, probe, options, bloom.get());
-  }
-
-  LinearProbeTable table(build.size(), options.load_factor);
-  for (uint64_t i = 0; i < build.size(); ++i) {
-    table.Insert(build.keys[i], build.payloads[i]);
+  } else {
+    for (uint64_t i = 0; i < build.size(); ++i) {
+      table.Insert(build.keys[i], build.payloads[i]);
+    }
   }
   return ProbeAll(table, probe, options, bloom.get());
 }

@@ -1,23 +1,14 @@
 #include "hwstar/stream/pipeline.h"
 
-#include <chrono>
 #include <utility>
 
 #include "hwstar/common/hash.h"
 #include "hwstar/common/macros.h"
+#include "hwstar/common/timer.h"
 #include "hwstar/stream/watermark.h"
 #include "hwstar/tune/tunable.h"
 
 namespace hwstar::stream {
-
-namespace {
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
 
 Pipeline::~Pipeline() {
   Stop();

@@ -1,7 +1,8 @@
 #include "hwstar/svc/request.h"
 
 #include <algorithm>
-#include <chrono>
+
+#include "hwstar/common/timer.h"
 
 namespace hwstar::svc {
 
@@ -71,12 +72,7 @@ Request Request::Scan(uint64_t lo, uint64_t hi, uint64_t limit,
   return r;
 }
 
-uint64_t ServiceNow() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+uint64_t ServiceNow() { return NowNanos(); }
 
 uint64_t EstimatedRequestBytes(const Request& request) {
   // Envelope + bookkeeping floor for every request.

@@ -14,17 +14,6 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-// Applies ServiceOptions::tunables through the global registry before any
-// worker starts, so a service comes up already configured. Unknown names
-// fail the HWSTAR_CHECK: a typo'd deployment config must not silently
-// leave the knob at its default.
-ServiceOptions ApplyTunables(ServiceOptions options) {
-  for (const auto& [name, value] : options.tunables) {
-    HWSTAR_CHECK(tune::Registry::Global().Set(name, value));
-  }
-  return options;
-}
-
 // Each worker holds at most one popped group, so capping the worker count
 // at max_pending_batches caps the groups popped but not yet finished.
 uint32_t WorkerCount(const ServiceOptions& options) {
@@ -39,7 +28,7 @@ uint32_t WorkerCount(const ServiceOptions& options) {
 }  // namespace
 
 Service::Service(ServiceOptions options, kv::KvStore* kv)
-    : options_(ApplyTunables(std::move(options))),
+    : options_(std::move(options)),
       kv_(kv),
       policy_(options_.policy != nullptr
                   ? options_.policy

@@ -56,12 +56,6 @@ struct ServiceOptions {
   uint32_t max_pending_batches = 8;
   /// Degradation policy; null installs StepDownOverloadPolicy.
   std::shared_ptr<const OverloadPolicy> policy;
-  /// Tunable overrides applied (in order) through tune::Registry at
-  /// construction — the deployment-config hook for the knob substrate.
-  /// Each entry is (tunable name, value); values clamp to the tunable's
-  /// bounds like any other Set. Unknown names are a construction error
-  /// (a typo'd config should fail loudly, not silently not-tune).
-  std::vector<std::pair<std::string, uint64_t>> tunables;
 };
 
 /// A point-in-time view of the service: admission outcomes, batch

@@ -196,7 +196,7 @@ std::array<Tunable*, 10> CoreKnobs() {
 }
 
 // Eagerly touch every core accessor at static-init time, so by-name
-// lookups (ServiceOptions::tunables, ops tooling, dumps) see the full
+// lookups (Registry::Set from config or ops tooling, dumps) see the full
 // set in any process that links the registry — not just processes that
 // happened to run a kernel first. The accessors' magic statics make this
 // safe to race with early first-use from other initializers.

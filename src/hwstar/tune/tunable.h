@@ -75,8 +75,8 @@ class Tunable {
 
 /// The process-wide catalogue of tunables. Components register their
 /// knobs once (create-or-return by name, spec checked for agreement);
-/// the Calibrator, ops snapshots and config hooks all
-/// address them by name through here. Registration, lookup-by-name and
+/// the Calibrator, ops snapshots and deployment config all address them
+/// by name through here. Registration, lookup-by-name and
 /// dumping take a mutex — they are off the hot path; hot paths hold the
 /// Tunable* (or use the inline accessors below) and pay only the relaxed
 /// load.
@@ -99,8 +99,9 @@ class Registry {
   /// Lookup by name; null when unknown.
   Tunable* Find(const std::string& name) const;
 
-  /// Sets a tunable by name (the config-hook path: svc options, ops
-  /// tooling). Returns false when no such tunable exists; the value is
+  /// Sets a tunable by name (the config-hook path: deployment config and
+  /// ops tooling set knobs here, before the components that read them
+  /// start). Returns false when no such tunable exists; the value is
   /// clamped by the tunable's own spec as usual.
   bool Set(const std::string& name, uint64_t value);
 
@@ -129,8 +130,8 @@ class Registry {
 /// write `X().Set()`. Each accessor returns the same
 /// Tunable for the life of the process.
 ///
-/// GP group width for the batched probe kernels (linear-probe /
-/// concurrent hash tables, ART, B+-tree, Bloom filters): the number of
+/// GP group width for the batched probe kernels (linear-probe hash
+/// table, ART, B+-tree, Bloom filters): the number of
 /// independent cache misses kept in flight. Power of two in [4, 32] —
 /// the widths the kernels are compiled for.
 Tunable& ProbeGroupSize();

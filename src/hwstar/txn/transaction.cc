@@ -8,14 +8,27 @@
 
 namespace hwstar::txn {
 
-TxnManager::TxnManager(dur::DurableKvStore* db, TxnOptions options)
-    : db_(db),
-      options_(options),
-      stripe_mask_(options.lock_stripes - 1),
-      stripes_(new sync::OptLock[options.lock_stripes]) {
-  HWSTAR_CHECK(options.lock_stripes >= 1 &&
-               (options.lock_stripes & (options.lock_stripes - 1)) == 0);
-}
+namespace {
+
+/// Validation-lock stripes (power of two). Each key hashes to one
+/// OptLock; coarser striping only raises false conflicts (aborts), never
+/// misses a real one.
+constexpr uint32_t kLockStripes = 1u << 16;
+static_assert((kLockStripes & (kLockStripes - 1)) == 0);
+
+/// Optimistic-read attempts per Get before the transaction dooms itself
+/// rather than spin on a hot stripe.
+constexpr uint32_t kGetRetryLimit = 64;
+
+/// TryWriteLock attempts per stripe at commit before aborting; bounded so
+/// a committer convoying on a durability wait aborts its rivals instead
+/// of stalling them.
+constexpr uint32_t kLockSpinLimit = 128;
+
+}  // namespace
+
+TxnManager::TxnManager(dur::DurableKvStore* db)
+    : db_(db), stripes_(new sync::OptLock[kLockStripes]) {}
 
 Transaction TxnManager::Begin() {
   begun_.Inc();
@@ -26,7 +39,7 @@ uint32_t TxnManager::StripeOf(uint64_t key) const {
   // Mix64 decorrelates the range-sharded key space from the stripe table:
   // without it, TPC-C's hot district keys would all share low-entropy
   // high bits and collide into a handful of stripes.
-  return static_cast<uint32_t>(Mix64(key)) & stripe_mask_;
+  return static_cast<uint32_t>(Mix64(key)) & (kLockStripes - 1);
 }
 
 TxnStats TxnManager::stats() const {
@@ -63,8 +76,7 @@ Status Transaction::Get(uint64_t key, uint64_t* value, bool* found) {
 
   const uint32_t stripe = mgr_->StripeOf(key);
   sync::OptLock& lock = mgr_->stripes_[stripe];
-  for (uint32_t attempt = 0; attempt < mgr_->options_.get_retry_limit;
-       ++attempt) {
+  for (uint32_t attempt = 0; attempt < kGetRetryLimit; ++attempt) {
     // A held stripe usually means a committer is inside its durability
     // wait (microseconds, not nanoseconds) — yield instead of burning the
     // retry budget in a tight loop.
@@ -146,7 +158,7 @@ Status Transaction::Commit(uint64_t* wal_wait_nanos) {
   for (; acquired < lock_order.size(); ++acquired) {
     sync::OptLock& lock = mgr_->stripes_[lock_order[acquired]];
     bool locked = false;
-    for (uint32_t spin = 0; spin < mgr_->options_.lock_spin_limit; ++spin) {
+    for (uint32_t spin = 0; spin < kLockSpinLimit; ++spin) {
       if (lock.TryWriteLock()) {
         locked = true;
         break;

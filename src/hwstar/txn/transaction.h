@@ -15,21 +15,6 @@
 
 namespace hwstar::txn {
 
-/// Tuning for a TxnManager.
-struct TxnOptions {
-  /// Validation-lock stripes (power of two). Each key hashes to one
-  /// OptLock; coarser striping only raises false conflicts (aborts),
-  /// never misses a real one.
-  uint32_t lock_stripes = 1u << 16;
-  /// Optimistic-read attempts per Get before the transaction dooms
-  /// itself rather than spin on a hot stripe.
-  uint32_t get_retry_limit = 64;
-  /// TryWriteLock attempts per stripe at commit before aborting; bounded
-  /// so a committer convoying on a durability wait aborts its rivals
-  /// instead of stalling them.
-  uint32_t lock_spin_limit = 128;
-};
-
 /// Why transactions aborted (and how many committed) — the abort-rate
 /// numerator bench_e21_tpcc reports.
 struct TxnStats {
@@ -66,7 +51,7 @@ class Transaction;
 /// crash atomicity or durability, which the WAL framing alone provides).
 class TxnManager {
  public:
-  explicit TxnManager(dur::DurableKvStore* db, TxnOptions options = {});
+  explicit TxnManager(dur::DurableKvStore* db);
 
   TxnManager(const TxnManager&) = delete;
   TxnManager& operator=(const TxnManager&) = delete;
@@ -84,14 +69,11 @@ class TxnManager {
   uint32_t StripeOf(uint64_t key) const;
 
   dur::DurableKvStore* db() { return db_; }
-  const TxnOptions& options() const { return options_; }
 
  private:
   friend class Transaction;
 
   dur::DurableKvStore* db_;
-  const TxnOptions options_;
-  const uint32_t stripe_mask_;
   std::unique_ptr<sync::OptLock[]> stripes_;
 
   obs::Counter begun_;

@@ -184,7 +184,9 @@ TEST(KvStoreTest, LatchFreeReadersRaceWritersBothIndexKinds) {
         for (int iter = 0; iter < 3000; ++iter) {
           const uint64_t key = rng.NextBounded(kKeys) * stride;
           auto got = store.Get(key);
-          if (got.ok()) EXPECT_EQ(got.value(), ValueOf(key));
+          if (got.ok()) {
+            EXPECT_EQ(got.value(), ValueOf(key));
+          }
           if ((iter & 7) == 0) {
             for (auto& k : keys) k = rng.NextBounded(kKeys) * stride;
             std::sort(keys, keys + 32);  // shard-sorted: exercises runs
@@ -247,7 +249,9 @@ TEST(KvStoreTest, OptimisticRangeScansRaceReadersAndWriter) {
     while (!stop.load(std::memory_order_relaxed)) {
       const uint64_t key = rng.NextBounded(kKeys) * stride;
       auto got = store.Get(key);
-      if (got.ok()) EXPECT_EQ(got.value(), ValueOf(key));
+      if (got.ok()) {
+        EXPECT_EQ(got.value(), ValueOf(key));
+      }
     }
   });
 
@@ -273,7 +277,9 @@ TEST(KvStoreTest, OptimisticRangeScansRaceReadersAndWriter) {
         for (const auto& [key, value] : entries) {
           EXPECT_GE(key, lo);
           EXPECT_LE(key, hi);
-          if (!first) EXPECT_GT(key, prev);  // ascending, no duplicates
+          if (!first) {
+            EXPECT_GT(key, prev);  // ascending, no duplicates
+          }
           first = false;
           prev = key;
           EXPECT_EQ(value, ValueOf(key));  // never torn
@@ -338,7 +344,9 @@ TEST_P(KvEquivalence, MatchesReferenceMap) {
       auto got = store.Get(op.key);
       auto it = ref.find(op.key);
       ASSERT_EQ(got.ok(), it != ref.end());
-      if (got.ok()) EXPECT_EQ(got.value(), it->second);
+      if (got.ok()) {
+        EXPECT_EQ(got.value(), it->second);
+      }
     }
   }
   EXPECT_EQ(store.size(), ref.size());
@@ -429,7 +437,9 @@ TEST(KvStoreTest, MultiGetMatchesGetIncludingMisses) {
     for (size_t i = 0; i < keys.size(); ++i) {
       auto ref = store.Get(keys[i]);
       EXPECT_EQ(found[i], ref.ok()) << "key " << keys[i];
-      if (ref.ok()) EXPECT_EQ(values[i], ref.value());
+      if (ref.ok()) {
+        EXPECT_EQ(values[i], ref.value());
+      }
     }
     std::sort(keys.begin(), keys.end());
   }

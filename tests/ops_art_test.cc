@@ -214,7 +214,9 @@ TEST(ArtTest, EraseCollapsesAcrossNodeKinds) {
   uint64_t v;
   for (uint64_t k = 0; k < 300; ++k) {
     EXPECT_EQ(art.Find(k, &v), k % 2 == 1) << k;
-    if (k % 2 == 1) EXPECT_EQ(v, k);
+    if (k % 2 == 1) {
+      EXPECT_EQ(v, k);
+    }
   }
   std::vector<uint64_t> out;
   EXPECT_EQ(art.RangeScan(0, 300, &out), 150u);
@@ -249,7 +251,9 @@ TEST(ArtTest, RandomInsertEraseAgainstReference) {
   for (uint64_t k = 0; k < (1 << 12); ++k) {
     auto it = ref.find(k);
     EXPECT_EQ(art.Find(k, &v), it != ref.end()) << k;
-    if (it != ref.end()) EXPECT_EQ(v, it->second);
+    if (it != ref.end()) {
+      EXPECT_EQ(v, it->second);
+    }
   }
 }
 
@@ -275,7 +279,9 @@ TEST_P(ArtEquivalence, MatchesReferenceMap) {
     const bool found = art.Find(k, &v);
     auto it = ref.find(k);
     EXPECT_EQ(found, it != ref.end()) << k;
-    if (found) EXPECT_EQ(v, it->second);
+    if (found) {
+      EXPECT_EQ(v, it->second);
+    }
   }
   // Range scan equals in-order reference walk.
   const uint64_t lo = domain / 4, hi = domain / 2;

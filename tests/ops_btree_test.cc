@@ -209,7 +209,9 @@ TEST(BPlusTreeTest, RandomInsertEraseAgainstReference) {
   for (uint64_t k = 0; k < (1 << 12); ++k) {
     auto it = ref.find(k);
     EXPECT_EQ(tree.Find(k, &v), it != ref.end()) << k;
-    if (it != ref.end()) EXPECT_EQ(v, it->second);
+    if (it != ref.end()) {
+      EXPECT_EQ(v, it->second);
+    }
   }
 }
 
@@ -234,7 +236,9 @@ TEST_P(BTreeFanoutTest, AgreesWithBinarySearch) {
         std::binary_search(keys.begin(), keys.end(), probe);
     uint64_t v;
     EXPECT_EQ(tree.Find(probe, &v), in_sorted);
-    if (in_sorted) EXPECT_EQ(v, probe + 1);
+    if (in_sorted) {
+      EXPECT_EQ(v, probe + 1);
+    }
   }
 }
 

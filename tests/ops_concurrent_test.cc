@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "hwstar/exec/executor.h"
-#include "hwstar/ops/concurrent_hash_table.h"
 #include "hwstar/ops/hash_table.h"
 #include "hwstar/ops/join_nop.h"
 #include "hwstar/workload/distributions.h"
@@ -11,10 +10,31 @@
 namespace hwstar::ops {
 namespace {
 
-TEST(ConcurrentHashTableTest, SerialInsertFind) {
-  ConcurrentHashTable table(100);
-  table.Insert(5, 50);
-  table.Insert(7, 70);
+// Neither build path may take the last empty slot: a probe for an absent
+// key stops only at one.
+TEST(LinearProbeDeathTest, BothBuildsKeepOneSlotEmpty) {
+  LinearProbeTable serial(4);
+  ASSERT_EQ(serial.capacity(), 8u);
+  for (uint64_t k = 1; k < 8; ++k) serial.Insert(k, k);
+  uint64_t v = 0;
+  EXPECT_FALSE(serial.Find(100, &v));
+  EXPECT_DEATH(serial.Insert(8, 8), "HWSTAR_CHECK failed");
+
+  LinearProbeTable shared(4);
+  const uint64_t keys[] = {1, 2, 3, 4, 5, 6, 7, 8};
+  shared.InsertShared(keys, keys, 7);
+  EXPECT_FALSE(shared.Find(100, &v));
+  EXPECT_DEATH(shared.InsertShared(keys + 7, keys + 7, 1),
+               "HWSTAR_CHECK failed");
+}
+
+// LinearProbeTable::InsertShared: the CAS-claimed build many threads run
+// at once (the parallel no-partitioning join's shared table).
+TEST(InsertSharedTest, SerialInsertFind) {
+  LinearProbeTable table(100);
+  const uint64_t keys[] = {5, 7};
+  const uint64_t values[] = {50, 70};
+  table.InsertShared(keys, values, 2);
   uint64_t v = 0;
   EXPECT_TRUE(table.Find(5, &v));
   EXPECT_EQ(v, 50u);
@@ -23,24 +43,27 @@ TEST(ConcurrentHashTableTest, SerialInsertFind) {
   EXPECT_EQ(table.size(), 2u);
 }
 
-TEST(ConcurrentHashTableTest, DuplicatesCounted) {
-  ConcurrentHashTable table(100);
-  for (int i = 0; i < 5; ++i) table.Insert(9, static_cast<uint64_t>(i));
+TEST(InsertSharedTest, DuplicatesCounted) {
+  LinearProbeTable table(100);
+  const uint64_t keys[] = {9, 9, 9, 9, 9};
+  const uint64_t values[] = {0, 1, 2, 3, 4};
+  table.InsertShared(keys, values, 5);
   EXPECT_EQ(table.CountMatches(9), 5u);
-  std::vector<uint64_t> values;
-  EXPECT_EQ(table.Probe(9, [&](uint64_t v) { values.push_back(v); }), 5u);
-  EXPECT_EQ(values.size(), 5u);
+  std::vector<uint64_t> seen;
+  EXPECT_EQ(table.Probe(9, [&](uint64_t v) { seen.push_back(v); }), 5u);
+  EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(ConcurrentHashTableTest, ConcurrentBuildFindsEverything) {
+TEST(InsertSharedTest, ConcurrentBuildFindsEverything) {
   const uint64_t n = 200000;
-  ConcurrentHashTable table(n);
+  LinearProbeTable table(n);
   const uint32_t kThreads = 4;
   std::vector<std::thread> workers;
   for (uint32_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&table, t, n] {
       for (uint64_t k = t; k < n; k += kThreads) {
-        table.Insert(k, k * 2);
+        const uint64_t value = k * 2;
+        table.InsertShared(&k, &value, 1);
       }
     });
   }
@@ -54,17 +77,20 @@ TEST(ConcurrentHashTableTest, ConcurrentBuildFindsEverything) {
   EXPECT_FALSE(table.Find(n + 5, &v));
 }
 
-TEST(ConcurrentHashTableTest, ConcurrentDuplicateKeys) {
-  // All threads hammer the same few keys: every insert must land.
-  ConcurrentHashTable table(4000);
+TEST(InsertSharedTest, ConcurrentDuplicateKeys) {
+  // All threads hammer the same key: every insert must land.
+  LinearProbeTable table(4000);
   std::vector<std::thread> workers;
   for (uint32_t t = 0; t < 4; ++t) {
     workers.emplace_back([&table] {
-      for (int i = 0; i < 500; ++i) table.Insert(42, 1);
+      const uint64_t key = 42;
+      const uint64_t value = 1;
+      for (int i = 0; i < 500; ++i) table.InsertShared(&key, &value, 1);
     });
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(table.CountMatches(42), 2000u);
+  EXPECT_EQ(table.size(), 2000u);
 }
 
 TEST(ParallelBuildJoinTest, MatchesSerialJoin) {

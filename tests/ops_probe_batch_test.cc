@@ -3,7 +3,7 @@
 // results of the scalar loop it replaces, across batch sizes that straddle
 // the group width, duplicate keys, hit/miss mixes, and both index kinds.
 // The concurrency test at the bottom (label: sanitize) races
-// ConcurrentHashTable::FindBatch against live inserts under TSan.
+// LinearProbeTable::FindBatch against live InsertShared builders under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "hwstar/ops/art.h"
 #include "hwstar/ops/bloom_filter.h"
 #include "hwstar/ops/btree.h"
-#include "hwstar/ops/concurrent_hash_table.h"
 #include "hwstar/ops/hash_table.h"
 #include "hwstar/ops/probe_kernels.h"
 #include "hwstar/simd/backend.h"
@@ -147,11 +146,19 @@ TEST(ProbeBatchTest, ChainedFindBatchGatedScalarOnSmallTable) {
 TEST(ProbeBatchTest, ConcurrentFindBatchMatchesScalarFind) {
   Xoshiro256 rng(3);
   std::vector<uint64_t> keys(2000);
-  ConcurrentHashTable table(keys.size());
-  for (auto& k : keys) {
-    k = rng.Next() >> 1;
-    table.Insert(k, k + 99);
+  std::vector<uint64_t> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = rng.Next() >> 1;
+    values[i] = keys[i] + 99;
   }
+  // Built by two threads at once, as the parallel join builds it.
+  LinearProbeTable table(keys.size());
+  const size_t half = keys.size() / 2;
+  std::thread first(
+      [&] { table.InsertShared(keys.data(), values.data(), half); });
+  table.InsertShared(keys.data() + half, values.data() + half,
+                     keys.size() - half);
+  first.join();
   for (size_t n : kBatchSizes) {
     CheckFindBatchIdentity(table, MakeProbeKeys(keys, n, rng));
   }
@@ -457,23 +464,34 @@ TEST(ProbeKernelsTest, WithProbeGroupRoundsToCompiledSizes) {
   EXPECT_EQ(width(0), 16u);  // the process default (16 unless retuned)
 }
 
-// TSan target (label: sanitize): FindBatch reading while another thread is
-// still publishing entries. The scalar safety contract must carry over to
-// the prefetch-pipelined kernel: a concurrent probe may miss a racing key
-// or see its value as still 0, but never tears, crashes, or reports a
-// value other than the published one.
+// TSan target (label: sanitize): FindBatch reading while two InsertShared
+// builders are still publishing entries. The scalar safety contract must
+// carry over to the prefetch-pipelined kernel: a concurrent probe may miss
+// a racing key or see its value as still 0, but never tears, crashes, or
+// reports a value other than the published one.
 TEST(ProbeBatchConcurrencyTest, FindBatchRacesConcurrentInserts) {
   constexpr size_t kKeys = 4096;
   Xoshiro256 rng(10);
   std::vector<uint64_t> keys(kKeys);
   for (auto& k : keys) k = rng.Next() >> 1;
 
-  ConcurrentHashTable table(kKeys);
+  std::vector<uint64_t> inserted(kKeys);
+  for (size_t i = 0; i < kKeys; ++i) inserted[i] = keys[i] + 1;
+
+  // Two shared builders, each inserting every other run of 16 keys, so
+  // their claims interleave across the table while the reader probes.
+  LinearProbeTable table(kKeys);
   std::atomic<bool> go{false};
-  std::thread writer([&] {
-    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-    for (size_t i = 0; i < kKeys; ++i) table.Insert(keys[i], keys[i] + 1);
-  });
+  constexpr size_t kRun = 16;
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (size_t i = w * kRun; i < kKeys; i += 2 * kRun) {
+        table.InsertShared(keys.data() + i, inserted.data() + i, kRun);
+      }
+    });
+  }
 
   std::vector<uint64_t> values(kKeys);
   std::unique_ptr<bool[]> found(new bool[kKeys]);
@@ -495,9 +513,9 @@ TEST(ProbeBatchConcurrencyTest, FindBatchRacesConcurrentInserts) {
     }
     EXPECT_EQ(counted, hits);
   }
-  writer.join();
+  for (auto& w : writers) w.join();
 
-  // Deterministic once the writer is joined: every key present, every
+  // Deterministic once the writers are joined: every key present, every
   // value published.
   const size_t hits =
       table.FindBatch(keys.data(), kKeys, values.data(), found.get());

@@ -525,7 +525,9 @@ TEST(HashTableConcurrencyTest, LinearProbeReadersRaceTheBuilder) {
           for (int j = 0; j < 32; ++j) batch[j] = 1 + rng.NextBounded(kN);
           table.FindBatch(batch, 32, values, found);
           for (int j = 0; j < 32; ++j) {
-            if (found[j]) EXPECT_EQ(values[j], StressValue(batch[j]));
+            if (found[j]) {
+              EXPECT_EQ(values[j], StressValue(batch[j]));
+            }
           }
         }
       }
@@ -572,7 +574,9 @@ TEST(HashTableConcurrencyTest, ChainedReadersSurviveBlockGrowth) {
           for (int j = 0; j < 32; ++j) batch[j] = 1 + rng.NextBounded(kN);
           table.FindBatch(batch, 32, values, found);
           for (int j = 0; j < 32; ++j) {
-            if (found[j]) EXPECT_EQ(values[j], StressValue(batch[j]));
+            if (found[j]) {
+              EXPECT_EQ(values[j], StressValue(batch[j]));
+            }
           }
         }
       }
@@ -624,7 +628,9 @@ TEST(BitIdentityTest, LatchFreeKvMatchesLatchedKvUnderRandomOps) {
           auto ra = a.Get(key);
           auto rb = b.Get(key);
           ASSERT_EQ(ra.ok(), rb.ok());
-          if (ra.ok()) ASSERT_EQ(ra.value(), rb.value());
+          if (ra.ok()) {
+            ASSERT_EQ(ra.value(), rb.value());
+          }
           break;
         }
         default: {

@@ -412,12 +412,14 @@ TEST_F(TuneTest, CalibratorInstallsSimdBackendInBounds) {
 // --- svc surface -------------------------------------------------------
 
 TEST_F(TuneTest, ServiceDumpsTunablesAndAppliesConfigHook) {
+  // The config hook is the registry's by-name Set, applied before the
+  // service is built (through the central clamp).
+  ASSERT_TRUE(Registry::Global().Set("stream.batch_rows", 512));
+  ASSERT_TRUE(Registry::Global().Set("probe.group_size", 8));
   svc::ServiceOptions options;
   options.worker_threads = 1;
-  options.tunables = {{"stream.batch_rows", 512}, {"probe.group_size", 8}};
   kv::KvStore kv;
   svc::Service service(options, &kv);
-  // The config hook applied (through the central clamp).
   EXPECT_EQ(StreamBatchRows().Get(), 512u);
   EXPECT_EQ(ProbeGroupSize().Get(), 8u);
   // Metrics dump carries the knob lines next to the metric lines.
