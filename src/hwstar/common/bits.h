@@ -13,9 +13,11 @@ constexpr bool IsPowerOfTwo(uint64_t v) {
   return v != 0 && (v & (v - 1)) == 0;
 }
 
-/// Smallest power of two >= v (v=0 maps to 1).
+/// Smallest power of two >= v (v=0 maps to 1). Saturates at 2^63, the
+/// largest power of two a uint64_t holds: any v > 2^63 maps to 2^63.
 constexpr uint64_t NextPowerOfTwo(uint64_t v) {
   if (v <= 1) return 1;
+  if (v > (uint64_t{1} << 63)) return uint64_t{1} << 63;
   return uint64_t{1} << (64 - std::countl_zero(v - 1));
 }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "hwstar/common/logging.h"
-#include "hwstar/exec/affinity.h"
-#include "hwstar/hw/topology.h"
 
 namespace hwstar::exec {
 
@@ -28,19 +26,10 @@ namespace hwstar::exec {
 // still-running tasks were claimed by workers that will re-check before
 // exiting.
 
-Executor::Executor(uint32_t num_threads)
-    : Executor(ExecutorOptions{.num_threads = num_threads}) {}
-
-Executor::Executor(const ExecutorOptions& options) {
-  uint32_t num_threads = options.num_threads;
+Executor::Executor(uint32_t num_threads) {
   if (num_threads == 0) {
     unsigned hc = std::thread::hardware_concurrency();
     num_threads = hc == 0 ? 1 : hc;
-  }
-  uint32_t num_cores = 0;
-  if (options.pin_threads) {
-    num_cores = hw::DiscoverTopology().logical_cores;
-    if (num_cores == 0) num_cores = 1;
   }
   workers_.reserve(num_threads);
   for (uint32_t i = 0; i < num_threads; ++i) {
@@ -48,18 +37,7 @@ Executor::Executor(const ExecutorOptions& options) {
   }
   threads_.reserve(num_threads);
   for (uint32_t i = 0; i < num_threads; ++i) {
-    const int pin_core =
-        options.pin_threads ? static_cast<int>(i % num_cores) : -1;
-    threads_.emplace_back([this, i, pin_core] {
-      if (pin_core >= 0) {
-        Status s = PinCurrentThreadToCore(static_cast<uint32_t>(pin_core));
-        if (!s.ok()) {
-          HWSTAR_LOG(Warning) << "Executor worker " << i << " pin to core "
-                              << pin_core << " failed: " << s.ToString();
-        }
-      }
-      WorkerLoop(i);
-    });
+    threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -76,51 +54,20 @@ void Executor::Shutdown() {
 }
 
 bool Executor::Submit(Task task, int preferred_worker) {
-  return SubmitInternal(std::move(task), /*max_queue_depth=*/0,
-                        preferred_worker, /*warn_on_shutdown=*/true);
-}
-
-bool Executor::TrySubmit(Task task, size_t max_queue_depth,
-                         int preferred_worker) {
-  return SubmitInternal(std::move(task), max_queue_depth, preferred_worker,
-                        /*warn_on_shutdown=*/false);
-}
-
-bool Executor::SubmitInternal(Task task, size_t max_queue_depth,
-                              int preferred_worker, bool warn_on_shutdown) {
-  uint64_t prev_queued;
-  if (max_queue_depth != 0) {
-    // CAS loop so the bound is exact under concurrent TrySubmits (a
-    // blind fetch_add could transiently overshoot and fail a sibling);
-    // shutdown and over-bound fail without ever modifying state_.
-    uint64_t cur = state_.load();
-    do {
-      if ((cur & kShutdownBit) != 0 || QueuedOf(cur) >= max_queue_depth) {
-        return false;
-      }
-    } while (!state_.compare_exchange_weak(cur, cur + kOneQueued +
-                                                    kOnePending));
-    prev_queued = QueuedOf(cur);
-  } else {
-    const uint64_t prev = state_.fetch_add(kOneQueued + kOnePending);
-    if ((prev & kShutdownBit) != 0) {
-      // Lost the race with Shutdown: undo the acceptance. The phantom
-      // counts only ever delay a drain or WaitIdle, never unblock one
-      // early, except at the pending 1 -> 0 edge -- which this rollback
-      // may be the one to cross, so it runs the same idle wake as task
-      // completion.
-      const uint64_t before = state_.fetch_sub(kOneQueued + kOnePending);
-      if (PendingOf(before) == 1 && idle_waiters_.load() != 0) {
-        { std::lock_guard<std::mutex> lock(wake_mutex_); }
-        idle_cv_.notify_all();
-      }
-      if (warn_on_shutdown) {
-        HWSTAR_LOG(Warning)
-            << "Executor::Submit after shutdown; task dropped";
-      }
-      return false;
+  const uint64_t prev = state_.fetch_add(kOneQueued + kOnePending);
+  if ((prev & kShutdownBit) != 0) {
+    // Lost the race with Shutdown: undo the acceptance. The phantom
+    // counts only ever delay a drain or WaitIdle, never unblock one
+    // early, except at the pending 1 -> 0 edge -- which this rollback
+    // may be the one to cross, so it runs the same idle wake as task
+    // completion.
+    const uint64_t before = state_.fetch_sub(kOneQueued + kOnePending);
+    if (PendingOf(before) == 1 && idle_waiters_.load() != 0) {
+      { std::lock_guard<std::mutex> lock(wake_mutex_); }
+      idle_cv_.notify_all();
     }
-    prev_queued = QueuedOf(prev);
+    HWSTAR_LOG(Warning) << "Executor::Submit after shutdown; task dropped";
+    return false;
   }
 
   uint32_t target;
@@ -150,7 +97,7 @@ bool Executor::SubmitInternal(Task task, size_t max_queue_depth,
   // siblings while surplus remains (see TryRunOne). The empty critical
   // section closes the registered-but-not-yet-waiting window. In the
   // steady busy state Submit touches no wake state at all.
-  if (prev_queued == 0 && sleepers_.load() != 0) {
+  if (QueuedOf(prev) == 0 && sleepers_.load() != 0) {
     { std::lock_guard<std::mutex> lock(wake_mutex_); }
     work_cv_.notify_one();
   }

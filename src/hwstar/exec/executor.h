@@ -25,17 +25,6 @@ struct ExecutorStats {
   uint64_t failed_steals = 0;  ///< full victim scans that found nothing
 };
 
-/// Construction knobs for Executor.
-struct ExecutorOptions {
-  /// Worker count (0 = hardware concurrency).
-  uint32_t num_threads = 0;
-  /// Pin worker i to logical core (i % cores) as discovered from
-  /// hw::Topology. Pinned workers keep their caches warm and give NUMA
-  /// first-touch a stable meaning; best-effort (a failed pin is logged
-  /// and the worker runs unpinned).
-  bool pin_threads = false;
-};
-
 /// The one scheduler for all parallel work in hwstar.
 ///
 /// Each worker owns a deque: it pushes and pops at the back (LIFO,
@@ -46,9 +35,8 @@ struct ExecutorOptions {
 /// skew, no global queue lock serializing dispatch.
 ///
 /// On top of the stealing core the Executor carries production
-/// semantics: `Submit` fails cleanly once shutdown has begun, `TrySubmit`
-/// is a bounded enqueue that fails instead of queueing past a depth (svc
-/// does not use it: its own AdmissionQueue bounds and sheds requests
+/// semantics: `Submit` fails cleanly once shutdown has begun (the queue
+/// is unbounded: svc bounds and sheds requests in its own AdmissionQueue
 /// before any thread runs them), `Shutdown` drains accepted tasks
 /// before joining, `WaitIdle` blocks until every accepted task has
 /// finished, and obs counters (tasks run, local pops, steals) back
@@ -59,7 +47,6 @@ class Executor {
 
   /// Spawns `num_threads` workers (0 means hardware concurrency).
   explicit Executor(uint32_t num_threads = 0);
-  explicit Executor(const ExecutorOptions& options);
 
   /// Calls Shutdown().
   ~Executor();
@@ -73,12 +60,6 @@ class Executor {
   /// the task, with a logged warning) once shutdown has begun, so
   /// callers racing teardown fail cleanly instead of stranding work.
   bool Submit(Task task, int preferred_worker = -1);
-
-  /// Bounded enqueue: fails without blocking when shutdown has begun or
-  /// the executor already holds `max_queue_depth` unclaimed tasks
-  /// (0 = unbounded).
-  bool TrySubmit(Task task, size_t max_queue_depth = 0,
-                 int preferred_worker = -1);
 
   /// Stops accepting new tasks, drains already-accepted ones, and joins
   /// the workers. Idempotent and safe to race with submitters; the
@@ -112,8 +93,6 @@ class Executor {
     std::deque<Task> deque;
   };
 
-  bool SubmitInternal(Task task, size_t max_queue_depth,
-                      int preferred_worker, bool warn_on_shutdown);
   void WorkerLoop(uint32_t id);
   bool TryRunOne(uint32_t id);
 
@@ -121,7 +100,7 @@ class Executor {
   std::vector<std::thread> threads_;
 
   // The whole lifecycle lives in one word: bits 0-31 count tasks accepted
-  // but not yet claimed (drives TrySubmit's bound, the workers' sleep
+  // but not yet claimed (drives queue_depth(), the workers' sleep
   // predicate and the shutdown drain check), bits 32-62 tasks accepted
   // but not yet finished (drives WaitIdle), bit 63 is the shutdown flag.
   // Packing buys two things. Every submit, batch claim and batch finish

@@ -42,7 +42,6 @@
 #include "hwstar/tune/tunable.h"
 
 // Parallel execution.
-#include "hwstar/exec/affinity.h"
 #include "hwstar/exec/executor.h"
 #include "hwstar/exec/morsel.h"
 

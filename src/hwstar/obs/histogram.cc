@@ -4,6 +4,7 @@
 #include <cmath>
 #include <thread>
 
+#include "hwstar/common/bits.h"
 #include "hwstar/common/macros.h"
 
 namespace hwstar::obs {
@@ -11,11 +12,6 @@ namespace hwstar::obs {
 namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
-
-uint32_t NextPow2(uint32_t v) {
-  if (v <= 1) return 1;
-  return uint32_t{1} << (32 - std::countl_zero(v - 1));
-}
 
 }  // namespace
 
@@ -113,7 +109,7 @@ Histogram::Histogram(HistogramOptions options) : options_(options) {
     const unsigned hc = std::thread::hardware_concurrency();
     shards = hc == 0 ? 1 : (hc > 16 ? 16 : static_cast<uint32_t>(hc));
   }
-  shards = NextPow2(shards);
+  shards = static_cast<uint32_t>(bits::NextPowerOfTwo(shards));
   shard_mask_ = shards - 1;
   shards_ = std::make_unique<Shard[]>(shards);
 }

@@ -1,14 +1,12 @@
 #include "hwstar/ops/aggregation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <mutex>
 
 #include "hwstar/common/bits.h"
 #include "hwstar/common/hash.h"
 #include "hwstar/common/macros.h"
-#include "hwstar/exec/morsel.h"
 #include "hwstar/simd/kernels.h"
 
 namespace hwstar::ops {
@@ -181,21 +179,6 @@ int64_t Min(std::span<const int64_t> values) {
 int64_t Max(std::span<const int64_t> values) {
   if (values.empty()) return std::numeric_limits<int64_t>::min();
   return simd::Max(simd::ActiveBackend(), values.data(), values.size());
-}
-
-int64_t ParallelSum(std::span<const int64_t> values, exec::Executor* pool,
-                    uint64_t morsel_size) {
-  if (pool == nullptr) return Sum(values);
-  const simd::Backend be = simd::ActiveBackend();
-  std::atomic<int64_t> total{0};
-  exec::ParallelForMorsels(
-      pool, values.size(), morsel_size,
-      [&](uint32_t /*worker*/, exec::Morsel m) {
-        const int64_t local =
-            simd::Sum(be, values.data() + m.begin, m.end - m.begin);
-        total.fetch_add(local, std::memory_order_relaxed);
-      });
-  return total.load(std::memory_order_relaxed);
 }
 
 }  // namespace hwstar::ops

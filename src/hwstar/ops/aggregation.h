@@ -45,11 +45,6 @@ int64_t Sum(std::span<const int64_t> values);
 int64_t Min(std::span<const int64_t> values);
 int64_t Max(std::span<const int64_t> values);
 
-/// Parallel sum over the executor (morsel-driven; morsel_size 0 reads the
-/// tune::MorselRows knob). Each morsel body runs the simd Sum kernel.
-int64_t ParallelSum(std::span<const int64_t> values, exec::Executor* pool,
-                    uint64_t morsel_size = 0);
-
 }  // namespace hwstar::ops
 
 #endif  // HWSTAR_OPS_AGGREGATION_H_

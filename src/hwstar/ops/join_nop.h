@@ -1,10 +1,7 @@
 #ifndef HWSTAR_OPS_JOIN_NOP_H_
 #define HWSTAR_OPS_JOIN_NOP_H_
 
-#include <cstdint>
-
 #include "hwstar/exec/executor.h"
-#include "hwstar/ops/hash_table.h"
 #include "hwstar/ops/relation.h"
 
 namespace hwstar::ops {
@@ -12,17 +9,10 @@ namespace hwstar::ops {
 /// Options for the no-partitioning join.
 struct NoPartitionJoinOptions {
   bool materialize = false;   ///< collect JoinPairs (else count only)
-  double load_factor = 0.5;   ///< build table load factor
-  exec::Executor* pool = nullptr;  ///< parallel probe when set
-  /// Pre-filter probes with a cache-blocked Bloom filter built over the
-  /// build keys. One guaranteed-single-miss filter probe replaces a
-  /// potentially chain-long table probe; pays off when many probes miss
-  /// (semi-join-reduced workloads), costs a little when all match.
-  bool use_bloom = false;
-  uint32_t bloom_bits_per_key = 10;
-  /// Build the shared table with CAS-claimed slots across the pool's
-  /// workers (requires `pool`); the classic parallel-NPO build.
-  bool parallel_build = false;
+  /// When set, the build runs morsel-parallel through
+  /// `LinearProbeTable::InsertShared` (CAS-claimed slots, the classic
+  /// parallel-NPO build) and the probe runs morsel-parallel too.
+  exec::Executor* pool = nullptr;
 };
 
 /// The "hardware-oblivious" no-partitioning hash join (NPO): build one
@@ -32,11 +22,6 @@ struct NoPartitionJoinOptions {
 /// says oblivious software walks into. Serves as the baseline for E2.
 JoinResult NoPartitionHashJoin(const Relation& build, const Relation& probe,
                                const NoPartitionJoinOptions& options = {});
-
-/// Same algorithm over a chained hash table (the pointer-chasing textbook
-/// variant; strictly worse locality, used in the A2 ablation).
-JoinResult NoPartitionChainedJoin(const Relation& build, const Relation& probe,
-                                  const NoPartitionJoinOptions& options = {});
 
 }  // namespace hwstar::ops
 

@@ -25,10 +25,10 @@ HWSTAR_ALWAYS_INLINE uint64_t PartitionOf(uint64_t key, uint32_t radix_bits,
 /// Joins co-partition [rb, re) x [sb, se) with a cache-resident hash table.
 void JoinPartition(const Relation& r, uint64_t rb, uint64_t re,
                    const Relation& s, uint64_t sb, uint64_t se,
-                   double load_factor, bool materialize,
-                   uint64_t* matches, std::vector<JoinPair>* pairs) {
+                   bool materialize, uint64_t* matches,
+                   std::vector<JoinPair>* pairs) {
   if (rb == re || sb == se) return;
-  LinearProbeTable table(re - rb, load_factor);
+  LinearProbeTable table(re - rb);
   for (uint64_t i = rb; i < re; ++i) {
     table.Insert(r.keys[i], r.payloads[i]);
   }
@@ -172,8 +172,8 @@ JoinResult RadixHashJoin(const Relation& build, const Relation& probe,
   if (options.pool == nullptr) {
     for (uint64_t p = 0; p < fanout; ++p) {
       JoinPartition(r_part, r_off[p], r_off[p + 1], s_part, s_off[p],
-                    s_off[p + 1], options.load_factor, options.materialize,
-                    &result.matches, &result.pairs);
+                    s_off[p + 1], options.materialize, &result.matches,
+                    &result.pairs);
     }
   } else {
     std::atomic<uint64_t> matches{0};
@@ -183,8 +183,8 @@ JoinResult RadixHashJoin(const Relation& build, const Relation& probe,
         uint64_t local_matches = 0;
         std::vector<JoinPair> local_pairs;
         JoinPartition(r_part, r_off[p], r_off[p + 1], s_part, s_off[p],
-                      s_off[p + 1], options.load_factor, options.materialize,
-                      &local_matches, &local_pairs);
+                      s_off[p + 1], options.materialize, &local_matches,
+                      &local_pairs);
         matches.fetch_add(local_matches, std::memory_order_relaxed);
         if (!local_pairs.empty()) {
           std::lock_guard<std::mutex> lock(pairs_mutex);

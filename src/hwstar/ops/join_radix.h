@@ -14,7 +14,6 @@ struct RadixJoinOptions {
   uint32_t radix_bits = 10;   ///< total fan-out = 2^radix_bits partitions
   uint32_t num_passes = 1;    ///< 1 or 2 partitioning passes
   bool materialize = false;   ///< collect JoinPairs (else count only)
-  double load_factor = 0.5;   ///< per-partition build table load factor
   exec::Executor* pool = nullptr;  ///< parallel per-partition join phase
   /// Stage tuples in cache-line-sized per-partition buffers during the
   /// scatter (software write combining); identical output, fewer

@@ -3,34 +3,24 @@
 #include <array>
 #include <sstream>
 
+#include "hwstar/common/bits.h"
 #include "hwstar/common/macros.h"
 #include "hwstar/hw/machine_model.h"
 
 namespace hwstar::tune {
 
-namespace {
-
-uint64_t RoundUpPow2(uint64_t v) {
-  if (v <= 1) return 1;
-  uint64_t p = 1;
-  while (p < v && p < (uint64_t{1} << 63)) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 Tunable::Tunable(TunableSpec spec) : spec_(std::move(spec)), value_(0) {
   HWSTAR_CHECK(spec_.min <= spec_.max);
   HWSTAR_CHECK(!spec_.power_of_two ||
-               (RoundUpPow2(spec_.min) == spec_.min &&
-                RoundUpPow2(spec_.max) == spec_.max));
+               (bits::NextPowerOfTwo(spec_.min) == spec_.min &&
+                bits::NextPowerOfTwo(spec_.max) == spec_.max));
   // The default must be representable under the spec's own constraints.
   HWSTAR_CHECK(Clamp(spec_.default_value) == spec_.default_value);
   value_.store(spec_.default_value, std::memory_order_relaxed);
 }
 
 uint64_t Tunable::Clamp(uint64_t v) const {
-  if (spec_.power_of_two) v = RoundUpPow2(v);
+  if (spec_.power_of_two) v = bits::NextPowerOfTwo(v);
   if (v < spec_.min) v = spec_.min;
   if (v > spec_.max) v = spec_.max;
   return v;

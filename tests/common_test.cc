@@ -93,6 +93,11 @@ TEST(BitsTest, NextPowerOfTwo) {
   EXPECT_EQ(bits::NextPowerOfTwo(3), 4u);
   EXPECT_EQ(bits::NextPowerOfTwo(1000), 1024u);
   EXPECT_EQ(bits::NextPowerOfTwo(1024), 1024u);
+  // Above 2^63 no power of two fits: the result saturates at 2^63.
+  constexpr uint64_t kTop = uint64_t{1} << 63;
+  EXPECT_EQ(bits::NextPowerOfTwo(kTop), kTop);
+  EXPECT_EQ(bits::NextPowerOfTwo(kTop + 1), kTop);
+  EXPECT_EQ(bits::NextPowerOfTwo(~uint64_t{0}), kTop);
 }
 
 TEST(BitsTest, Log2) {

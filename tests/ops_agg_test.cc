@@ -26,14 +26,6 @@ TEST(SumTest, Basic) {
   EXPECT_EQ(Sum(std::vector<int64_t>{-5, 5}), 0);
 }
 
-TEST(ParallelSumTest, MatchesSequential) {
-  std::vector<int64_t> v(1000000);
-  for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<int64_t>(i % 1000) - 500;
-  exec::Executor pool(2);
-  EXPECT_EQ(ParallelSum(v, &pool), Sum(v));
-  EXPECT_EQ(ParallelSum(v, nullptr), Sum(v));
-}
-
 TEST(HashAggregateTest, BasicGroups) {
   std::vector<uint64_t> keys = {1, 2, 1, 3, 2, 1};
   std::vector<int64_t> values = {10, 20, 30, 40, 50, 60};

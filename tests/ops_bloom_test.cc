@@ -1,12 +1,11 @@
-#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "hwstar/common/random.h"
 #include "hwstar/ops/bloom_filter.h"
-#include "hwstar/ops/join_nop.h"
 #include "hwstar/simd/backend.h"
 #include "hwstar/tune/tunable.h"
-#include "hwstar/workload/distributions.h"
 
 namespace hwstar::ops {
 namespace {
@@ -62,39 +61,6 @@ TEST(BlockedBloomFilterTest, BlockCountSized) {
   EXPECT_GE(filter.num_blocks() * BlockedBloomFilter::kBlockBits,
             uint64_t{1} << 16);
   EXPECT_EQ(filter.MemoryBytes(), filter.num_blocks() * 64);
-}
-
-TEST(BloomJoinTest, BloomPreservesJoinResult) {
-  // Half the probe keys miss: bloom must not change the match count.
-  auto build = workload::MakeBuildRelation(10000, 61);
-  Relation probe;
-  hwstar::Xoshiro256 rng(62);
-  for (uint64_t i = 0; i < 40000; ++i) {
-    // Even i: hit (key < 10000); odd i: guaranteed miss.
-    const uint64_t key =
-        (i % 2 == 0) ? rng.NextBounded(10000) : 1000000 + i;
-    probe.Append(key, i);
-  }
-  NoPartitionJoinOptions plain;
-  NoPartitionJoinOptions bloomed;
-  bloomed.use_bloom = true;
-  const auto expected = NoPartitionHashJoin(build, probe, plain).matches;
-  EXPECT_EQ(expected, 20000u);
-  EXPECT_EQ(NoPartitionHashJoin(build, probe, bloomed).matches, expected);
-  EXPECT_EQ(NoPartitionChainedJoin(build, probe, bloomed).matches, expected);
-}
-
-TEST(BloomJoinTest, MaterializedPairsIdentical) {
-  auto build = workload::MakeBuildRelation(500, 63);
-  auto probe = workload::MakeProbeRelation(1000, 2000, 0.0, 64);
-  NoPartitionJoinOptions plain;
-  plain.materialize = true;
-  NoPartitionJoinOptions bloomed = plain;
-  bloomed.use_bloom = true;
-  auto a = NoPartitionHashJoin(build, probe, plain);
-  auto b = NoPartitionHashJoin(build, probe, bloomed);
-  EXPECT_EQ(a.matches, b.matches);
-  EXPECT_EQ(a.pairs.size(), b.pairs.size());
 }
 
 /// Property: both filter variants are false-negative-free across sizes.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
+#include <utility>
 
 #include "hwstar/exec/executor.h"
 #include "hwstar/ops/hash_table.h"
@@ -100,7 +102,6 @@ TEST(ParallelBuildJoinTest, MatchesSerialJoin) {
   NoPartitionJoinOptions serial;
   NoPartitionJoinOptions parallel;
   parallel.pool = &pool;
-  parallel.parallel_build = true;
   EXPECT_EQ(NoPartitionHashJoin(build, probe, serial).matches,
             NoPartitionHashJoin(build, probe, parallel).matches);
 }
@@ -113,11 +114,19 @@ TEST(ParallelBuildJoinTest, MaterializedPairsMatch) {
   serial.materialize = true;
   NoPartitionJoinOptions parallel = serial;
   parallel.pool = &pool;
-  parallel.parallel_build = true;
   auto a = NoPartitionHashJoin(build, probe, serial);
   auto b = NoPartitionHashJoin(build, probe, parallel);
   EXPECT_EQ(a.matches, b.matches);
-  EXPECT_EQ(a.pairs.size(), b.pairs.size());
+  // The parallel probe emits pairs in morsel order: compare as multisets.
+  auto to_set = [](const JoinResult& jr) {
+    std::multiset<std::pair<uint64_t, uint64_t>> set;
+    for (const auto& p : jr.pairs) {
+      set.insert({p.build_payload, p.probe_payload});
+    }
+    return set;
+  };
+  EXPECT_EQ(to_set(a), to_set(b));
+  EXPECT_EQ(a.matches, a.pairs.size());
 }
 
 /// CountMatchesBatch must equal the scalar loop at every prefetch

@@ -218,7 +218,6 @@ TEST_P(JoinEquivalence, AllAlgorithmsAgree) {
   NoPartitionJoinOptions npo_opts;
   npo_opts.pool = p.parallel ? &pool : nullptr;
   EXPECT_EQ(NoPartitionHashJoin(r, s, npo_opts).matches, expected);
-  EXPECT_EQ(NoPartitionChainedJoin(r, s, npo_opts).matches, expected);
 
   RadixJoinOptions radix_opts;
   radix_opts.radix_bits = p.radix_bits;

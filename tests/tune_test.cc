@@ -49,6 +49,7 @@ TEST_F(TuneTest, SetRoundsUpToPowerOfTwo) {
   EXPECT_EQ(t.Set(3), 4u);   // rounded up to 4, at min
   EXPECT_EQ(t.Set(0), 4u);   // 0 clamps to min
   EXPECT_EQ(t.Set(65), 64u);  // rounds to 128, clamps to max
+  EXPECT_EQ(t.Set(~uint64_t{0}), 64u);  // saturates at 2^63, clamps to max
   EXPECT_EQ(t.Clamp(33), 64u);
   EXPECT_EQ(t.Get(), 64u);  // Clamp is a pure function; Get unchanged
 }
