@@ -15,7 +15,6 @@
 
 #include "bench_common.h"
 #include "hwstar/hw/machine_model.h"
-#include "hwstar/mem/numa_allocator.h"
 #include "hwstar/sim/numa_model.h"
 
 namespace {

@@ -41,27 +41,6 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// Accumulating timer: sums the durations of Start()/Stop() intervals.
-/// Useful for timing a phase that is entered many times.
-class AccumulatingTimer {
- public:
-  void Start() { timer_.Restart(); running_ = true; }
-  void Stop() {
-    if (running_) {
-      total_nanos_ += timer_.ElapsedNanos();
-      running_ = false;
-    }
-  }
-  void Reset() { total_nanos_ = 0; running_ = false; }
-  uint64_t TotalNanos() const { return total_nanos_; }
-  double TotalSeconds() const { return static_cast<double>(total_nanos_) * 1e-9; }
-
- private:
-  WallTimer timer_;
-  uint64_t total_nanos_ = 0;
-  bool running_ = false;
-};
-
 }  // namespace hwstar
 
 #endif  // HWSTAR_COMMON_TIMER_H_

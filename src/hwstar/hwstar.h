@@ -31,7 +31,6 @@
 
 // Memory management.
 #include "hwstar/mem/aligned.h"
-#include "hwstar/mem/numa_allocator.h"
 
 // Synchronization: epoch-based reclamation and optimistic latches.
 #include "hwstar/sync/epoch.h"

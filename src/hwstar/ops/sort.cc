@@ -1,70 +1,6 @@
 #include "hwstar/ops/sort.h"
 
-#include <algorithm>
-#include <array>
-
 namespace hwstar::ops {
-
-namespace {
-
-/// One counting pass of 8-bit LSB radix sort from src into dst.
-template <typename CopyFn>
-void RadixPass(size_t n, uint32_t shift,
-               const uint64_t* keys_src, CopyFn copy) {
-  std::array<uint64_t, 256> count{};
-  for (size_t i = 0; i < n; ++i) {
-    ++count[(keys_src[i] >> shift) & 0xFF];
-  }
-  std::array<uint64_t, 256> offset{};
-  uint64_t acc = 0;
-  for (size_t b = 0; b < 256; ++b) {
-    offset[b] = acc;
-    acc += count[b];
-  }
-  for (size_t i = 0; i < n; ++i) {
-    copy(i, offset[(keys_src[i] >> shift) & 0xFF]++);
-  }
-}
-
-}  // namespace
-
-void RadixSortU64(std::vector<uint64_t>* values) {
-  const size_t n = values->size();
-  if (n <= 1) return;
-  std::vector<uint64_t> tmp(n);
-  uint64_t* src = values->data();
-  uint64_t* dst = tmp.data();
-  for (uint32_t pass = 0; pass < 8; ++pass) {
-    const uint32_t shift = pass * 8;
-    RadixPass(n, shift, src, [&](size_t i, uint64_t o) { dst[o] = src[i]; });
-    std::swap(src, dst);
-  }
-  // 8 passes = even number of swaps, so the result is back in *values.
-}
-
-void RadixSortU64Adaptive(std::vector<uint64_t>* values) {
-  const size_t n = values->size();
-  if (n <= 1) return;
-  // Determine which byte positions actually vary.
-  uint64_t all_or = 0, all_and = ~uint64_t{0};
-  for (uint64_t v : *values) {
-    all_or |= v;
-    all_and &= v;
-  }
-  const uint64_t varying = all_or & ~all_and;
-  std::vector<uint64_t> tmp(n);
-  uint64_t* src = values->data();
-  uint64_t* dst = tmp.data();
-  for (uint32_t pass = 0; pass < 8; ++pass) {
-    const uint32_t shift = pass * 8;
-    if (((varying >> shift) & 0xFF) == 0) continue;  // constant byte
-    RadixPass(n, shift, src, [&](size_t i, uint64_t o) { dst[o] = src[i]; });
-    std::swap(src, dst);
-  }
-  if (src != values->data()) {
-    std::copy(src, src + n, values->data());
-  }
-}
 
 void RadixSortRelation(Relation* rel) {
   const size_t n = rel->keys.size();
@@ -72,64 +8,21 @@ void RadixSortRelation(Relation* rel) {
   Relation tmp;
   tmp.keys.resize(n);
   tmp.payloads.resize(n);
-  Relation* src = rel;
-  Relation* dst = &tmp;
-  for (uint32_t pass = 0; pass < 8; ++pass) {
-    const uint32_t shift = pass * 8;
-    RadixPass(n, shift, src->keys.data(), [&](size_t i, uint64_t o) {
-      dst->keys[o] = src->keys[i];
-      dst->payloads[o] = src->payloads[i];
-    });
-    std::swap(src, dst);
-  }
-}
-
-void MergeSortU64(std::vector<uint64_t>* values, size_t run_size) {
-  const size_t n = values->size();
-  if (n <= 1) return;
-  if (run_size < 2) run_size = 2;
-
-  // Phase 1: insertion-sort L1-resident runs.
-  for (size_t begin = 0; begin < n; begin += run_size) {
-    const size_t end = std::min(begin + run_size, n);
-    for (size_t i = begin + 1; i < end; ++i) {
-      uint64_t v = (*values)[i];
-      size_t j = i;
-      while (j > begin && (*values)[j - 1] > v) {
-        (*values)[j] = (*values)[j - 1];
-        --j;
-      }
-      (*values)[j] = v;
-    }
-  }
-
-  // Phase 2: iterative bottom-up merge.
-  std::vector<uint64_t> tmp(n);
-  uint64_t* src = values->data();
-  uint64_t* dst = tmp.data();
-  for (size_t width = run_size; width < n; width *= 2) {
-    for (size_t begin = 0; begin < n; begin += 2 * width) {
-      const size_t mid = std::min(begin + width, n);
-      const size_t end = std::min(begin + 2 * width, n);
-      size_t a = begin, b = mid, o = begin;
-      while (a < mid && b < end) {
-        dst[o++] = src[a] <= src[b] ? src[a++] : src[b++];
-      }
-      while (a < mid) dst[o++] = src[a++];
-      while (b < end) dst[o++] = src[b++];
-    }
-    std::swap(src, dst);
-  }
-  if (src != values->data()) {
-    std::copy(src, src + n, values->data());
-  }
-}
-
-bool IsSortedU64(const std::vector<uint64_t>& values) {
-  for (size_t i = 1; i < values.size(); ++i) {
-    if (values[i - 1] > values[i]) return false;
-  }
-  return true;
+  uint64_t* src_keys = rel->keys.data();
+  uint64_t* src_payloads = rel->payloads.data();
+  uint64_t* dst_keys = tmp.keys.data();
+  uint64_t* dst_payloads = tmp.payloads.data();
+  const bool odd = sort_internal::RadixPasses(
+      n, [&](size_t i) { return src_keys[i]; },
+      [&](size_t i, size_t o) {
+        dst_keys[o] = src_keys[i];
+        dst_payloads[o] = src_payloads[i];
+      },
+      [&] {
+        std::swap(src_keys, dst_keys);
+        std::swap(src_payloads, dst_payloads);
+      });
+  if (odd) std::swap(*rel, tmp);
 }
 
 }  // namespace hwstar::ops

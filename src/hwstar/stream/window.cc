@@ -6,6 +6,7 @@
 #include "hwstar/common/bits.h"
 #include "hwstar/common/hash.h"
 #include "hwstar/common/macros.h"
+#include "hwstar/ops/sort.h"
 
 namespace hwstar::stream {
 
@@ -116,8 +117,8 @@ void WindowAggregator::OnBatch(uint32_t partition, const StreamBatch& batch,
   if (batch.watermark > st.watermark) st.watermark = batch.watermark;
 
   // Emit every window the watermark closed, ascending by start; keys are
-  // sorted so emission order is deterministic (the bit-identity tests
-  // compare against an offline computation directly).
+  // radix-sorted so emission order is deterministic (the bit-identity
+  // tests compare against an offline computation directly).
   const bool flush = st.watermark == StreamBatch::kFlushWatermark;
   size_t closed = 0;
   for (; closed < st.open.size(); ++closed) {
@@ -126,8 +127,8 @@ void WindowAggregator::OnBatch(uint32_t partition, const StreamBatch& batch,
     if (!flush && (st.watermark == 0 || end > st.watermark)) break;
     st.drained.clear();
     w.table.Drain(&st.drained);
-    std::sort(st.drained.begin(), st.drained.end(),
-              [](const Slot& a, const Slot& b) { return a.key < b.key; });
+    ops::RadixSortBy(&st.drained, &st.sort_scratch,
+                     [](const Slot& s) { return s.key; });
     for (const Slot& s : st.drained) {
       out->push_back({w.start, end, s.key, s.sum, s.count});
     }

@@ -136,6 +136,7 @@ class WindowAggregator {
     std::vector<OpenWindow> open;
     std::vector<WindowTable> spare;  ///< cleared tables of closed windows
     std::vector<Slot> drained;       ///< emission scratch
+    std::vector<Slot> sort_scratch;  ///< RadixSortBy's buffer for drained
     size_t last = 0;
     uint64_t watermark = 0;
   };

@@ -365,6 +365,51 @@ TEST(WindowAggregatorTest, ManyKeysMatchOfflineFold) {
   }
 }
 
+/// Folds 8000 in-order rows, keyed `key_of(row, window)`, through one
+/// partition's 100-tick tumbling windows (800 rows each) and checks the
+/// emission against the offline fold.
+template <typename KeyOf>
+void ExpectWindowsMatchOfflineFold(KeyOf key_of) {
+  const WindowSpec spec = WindowSpec::Tumbling(100);
+  WindowAggregator agg(spec);
+  agg.Bind(1);
+  Xoshiro256 rng(11);
+  StreamBatch all, batch;
+  std::vector<WindowResult> out;
+  for (uint64_t r = 0; r < 8000; ++r) {
+    const uint64_t ts = r / 8;
+    const uint64_t key = key_of(r, ts / 100);
+    const int64_t value = static_cast<int64_t>(rng.NextBounded(1000)) - 500;
+    batch.Append(key, value, ts);
+    all.Append(key, value, ts);
+    if (batch.size() == 300) {
+      batch.watermark = ts;
+      agg.OnBatch(0, batch, &out, nullptr);
+      batch = StreamBatch();
+    }
+  }
+  batch.watermark = StreamBatch::kFlushWatermark;
+  agg.OnBatch(0, batch, &out, nullptr);
+  EXPECT_EQ(out, OfflineWindows(all, spec));
+  EXPECT_EQ(out.size(), 10u * 256u);  // every window holds 256 keys
+}
+
+TEST(WindowAggregatorTest, KeysDifferingOnlyInTopByteEmitInKeyOrder) {
+  // Seven constant low bytes: the radix sort's one pass is the top byte.
+  ExpectWindowsMatchOfflineFold([](uint64_t r, uint64_t /*window*/) {
+    return (((r * 167) & 0xFF) << 56) | 0x0012345678ABCDEFull;
+  });
+}
+
+TEST(WindowAggregatorTest, KeysDifferingOnlyInLowByteEmitInKeyOrder) {
+  // Even windows hold keys 0..255, odd ones ~0 - 255..~0: within a window
+  // only the low byte varies, and the keys 0 and ~0 both occur.
+  ExpectWindowsMatchOfflineFold([](uint64_t r, uint64_t window) {
+    const uint64_t high = window % 2 == 0 ? 0 : ~uint64_t{0xFF};
+    return high | ((r * 167) & 0xFF);
+  });
+}
+
 workload::YcsbConfig SmallYcsb() {
   workload::YcsbConfig cfg;
   cfg.record_count = 512;  // few keys -> every window has repeat keys
